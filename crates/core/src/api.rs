@@ -32,13 +32,6 @@ pub struct ApproxConfig {
     /// parallelism). Thanks to deterministic seed-splitting the thread count
     /// **never** affects estimates — only wall-clock time; see `cqc-runtime`.
     pub threads: usize,
-    /// Worker pool the runtime dispatches on (`None` = the process-wide
-    /// pool, sized by `COUNTING_POOL_WORKERS`). Like the thread count, the
-    /// pool and its width never affect estimates, only wall times; the
-    /// determinism matrix in `tests/parallel_determinism.rs` runs engines
-    /// against pools of width 1, 2 and 8 and requires bit-identical
-    /// estimates.
-    pub worker_pool: Option<&'static cqc_runtime::pool::Pool>,
 }
 
 impl Default for ApproxConfig {
@@ -50,7 +43,6 @@ impl Default for ApproxConfig {
             colour_repetitions: None,
             fpras_exact_state_budget: 4_000,
             threads: 0,
-            worker_pool: None,
         }
     }
 }
@@ -73,13 +65,9 @@ impl ApproxConfig {
     }
 
     /// The parallel runtime this configuration resolves to: `threads`
-    /// workers dispatching on `worker_pool` (or the process-wide pool).
+    /// workers on the process-wide pool.
     pub fn runtime(&self) -> cqc_runtime::Runtime {
-        let rt = cqc_runtime::Runtime::new(self.threads);
-        match self.worker_pool {
-            Some(pool) => rt.with_pool(pool),
-            None => rt,
-        }
+        cqc_runtime::Runtime::new(self.threads)
     }
 
     /// Check that the accuracy parameters are usable: `ε, δ ∈ (0, 1)`.

@@ -152,16 +152,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Dispatch the parallel runtime on the given persistent worker pool
-    /// instead of the process-wide one (sized by `COUNTING_POOL_WORKERS`).
-    /// The pool — like the thread count — never affects estimates, only
-    /// wall times; mainly useful for tests and embedders that want
-    /// isolated pool sizing.
-    pub fn worker_pool(mut self, pool: &'static cqc_runtime::pool::Pool) -> Self {
-        self.config.worker_pool = Some(pool);
-        self
-    }
-
     /// Validate the configuration and build the engine.
     pub fn build(self) -> Result<Engine, CoreError> {
         self.config.validate()?;
@@ -429,47 +419,46 @@ impl PreparedQuery {
     /// across all the databases it evaluates, dropping the per-database
     /// allocations the serial loop used to pay (see the invariant on
     /// [`EvalScratch`]). Telemetry may differ from the serial loop:
-    /// `threads_used` records this batch's worker count, and `hom_calls`
-    /// can vary with scheduling (early-exit colour rounds evaluate a
+    /// `threads_used` records the engine's width, and `hom_calls` can vary
+    /// with scheduling (early-exit colour rounds evaluate a
     /// scheduling-dependent number of speculative repetitions). Returns
     /// the error of the first failing database (by index) if any fail.
     pub fn count_batch(&self, dbs: &[Structure]) -> Result<Vec<EstimateReport>, CoreError> {
         let runtime = self.config.runtime();
         match &self.plan {
-            // The FPTRAS path parallelises *across* databases first; any
-            // worker threads the batch cannot use (fewer databases than
-            // threads) are handed to the inner per-evaluation runtime so a
-            // 2-database batch on an 8-thread engine still runs the colour
-            // rounds 4-wide instead of stranding 6 workers.
+            // The FPTRAS path fans out *across* databases when there are
+            // enough to occupy every worker; the colour rounds inside each
+            // evaluation are then nested calls and run inline. A batch
+            // smaller than the width is counted one database after another,
+            // each at full width.
             Plan::Fptras(plan) => {
-                let chunk = dbs.len().div_ceil(runtime.threads()).max(1);
-                let chunks: Vec<&[Structure]> = dbs.chunks(chunk).collect();
-                let inner = runtime.with_threads((runtime.threads() / chunks.len().max(1)).max(1));
-                let per_chunk: Vec<Vec<Result<EstimateReport, CoreError>>> =
-                    runtime.par_map(&chunks, |_, chunk| {
-                        // per-thread scratch, reused across this worker's databases
-                        let mut scratch = EvalScratch::new();
-                        chunk
-                            .iter()
-                            .map(|db| {
-                                fptras_count_with_scratch(
-                                    &self.query,
-                                    plan,
-                                    db,
-                                    &self.config,
-                                    inner,
-                                    &mut scratch,
-                                )
-                                .map(|mut report| {
-                                    // the evaluation itself ran serially, but
-                                    // the batch ran on this many workers
-                                    report.telemetry.threads_used = runtime.threads();
-                                    report
-                                })
-                            })
-                            .collect()
-                    });
-                per_chunk.into_iter().flatten().collect()
+                let count_chunk = |chunk: &[Structure]| {
+                    // per-thread scratch, reused across this worker's databases
+                    let mut scratch = EvalScratch::new();
+                    chunk
+                        .iter()
+                        .map(|db| {
+                            fptras_count_with_scratch(
+                                &self.query,
+                                plan,
+                                db,
+                                &self.config,
+                                runtime,
+                                &mut scratch,
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                };
+                if dbs.len() < runtime.threads() {
+                    return count_chunk(dbs).into_iter().collect();
+                }
+                let chunks: Vec<&[Structure]> =
+                    dbs.chunks(dbs.len().div_ceil(runtime.threads())).collect();
+                runtime
+                    .par_map(&chunks, |_, chunk| count_chunk(chunk))
+                    .into_iter()
+                    .flatten()
+                    .collect()
             }
             // The FPRAS and exact paths parallelise inside each evaluation
             // (sampling counter / decomposition reuse), so the batch loop

@@ -50,9 +50,10 @@ pub struct Telemetry {
     pub wall: Duration,
     /// The **configured** fan-out width of the parallel runtime for this
     /// evaluation (the resolved `threads` setting). The concurrency
-    /// actually achieved can be lower — the persistent pool caps helpers at
-    /// its own width (`COUNTING_POOL_WORKERS` / `--workers`), and small
-    /// oracle calls run serially below the dispatch cutoff. Neither the
+    /// actually achieved can be lower — a call that finds the persistent
+    /// pool busy, or is nested inside a pool job, runs inline on its
+    /// caller, and small oracle calls run serially below the dispatch
+    /// cutoff. Neither the
     /// configured nor the achieved width ever affects the estimate
     /// (deterministic seed-splitting), only the wall times.
     pub threads_used: usize,

@@ -12,7 +12,7 @@
 //! in request-index order into one newline-delimited string. Because every
 //! response body is a pure function of its request (the serving layer's
 //! contract), the transcript is byte-identical across connection counts,
-//! protocols, server worker-pool widths, and shard counts — which is
+//! protocols, server widths, and shard counts — which is
 //! exactly what `tests/wire_determinism.rs` and the CI smoke leg assert.
 //! Latency and throughput, the *measured* quantities, are reported
 //! separately and feed `BENCH_serve.json`.

@@ -48,7 +48,7 @@
 //! ## Determinism over TCP
 //!
 //! Response *bodies* are byte-identical regardless of connection
-//! interleaving, client concurrency, worker-pool width, or shard count:
+//! interleaving, client concurrency, server width, or shard count:
 //! every request carries its own seed, work item `i` always runs under
 //! `split_seed(seed, i)`, and merges are index-ordered (see `cqc-serve`).
 //! The network layer adds nothing nondeterministic around the body — HTTP

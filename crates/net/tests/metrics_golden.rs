@@ -13,8 +13,8 @@
 //!   the very first scrape exposes the full zeroed inventory instead of
 //!   only the counters that happened to be touched.
 //!
-//! The only non-literal lines are `cqc_pool_width` (machine-dependent
-//! worker-pool width, formatted dynamically) and the event-loop block at
+//! The only non-literal lines are `cqc_pool_width` (1 + the helpers the
+//! worker pool has spawned so far, formatted dynamically) and the event-loop block at
 //! the very end (`cqc_event_loop_tick_seconds`, `cqc_event_loop_wakeups_total`):
 //! the loop ticks while the scrape's own connection is accepted and read,
 //! so those values are timing-dependent and checked structurally instead.

@@ -1,7 +1,8 @@
 //! The observability acceptance test: tracing must be provably invisible
 //! on the wire. For a seeded request mix, the transcript served with the
 //! tracer **enabled** must be byte-identical to the transcript served with
-//! it **disabled**, across server pool widths {1, 2, 8}, shard counts
+//! it **disabled**, across server widths (`ServerConfig::threads`)
+//! {1, 2, 8}, shard counts
 //! {1, 4}, and both wire protocols (HTTP `POST /count` vs raw NDJSON).
 //!
 //! The same test pins the request-correlation echoes, which are pure
@@ -19,24 +20,46 @@
 //! endpoints throughout the run, the transcript must still match the
 //! everything-off transcript byte for byte, on both protocols.
 //!
-//! Everything lives in one `#[test]` because the tracer and the worker cap
-//! are process-global: a single body sequences them deterministically.
+//! Everything lives in one `#[test]` because the tracer is process-global:
+//! a single body sequences it deterministically. The test also holds
+//! [`WIDTH_LOCK`], as every test in this file must: a parallel loop that
+//! finds the process-wide worker pool busy runs inline on its caller, so
+//! an 8-wide server must not share the pool with another test.
 
 use cqc_net::loadgen::{run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
-use cqc_runtime::pool::set_worker_cap;
+use cqc_serve::ServerConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held by every test in this file: the worker pool is process-wide.
+static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Network defaults around a serving core of the given width.
+fn config_of_width(threads: usize) -> NetConfig {
+    NetConfig {
+        serve: ServerConfig {
+            threads,
+            ..ServerConfig::default()
+        },
+        ..NetConfig::default()
+    }
+}
 
 const COUNT_REQ: &str = r#"{"id": 1, "query": "ans(x) :- E(x, y), E(x, z), y != z", "dbs": ["universe 4\nrelation E 2\nE 0 1\nE 0 2\nE 3 1\nE 3 2\n"], "seed": 7, "method": "exact"}"#;
 
-/// Run one loadgen configuration against a fresh server with the tracer
-/// forced to `traced`; returns the id-ordered transcript.
-fn transcript(options: &LoadgenOptions, traced: bool) -> String {
+/// Run one loadgen configuration against a fresh server of the given
+/// width with the tracer forced to `traced`; returns the id-ordered
+/// transcript.
+fn transcript(options: &LoadgenOptions, threads: usize, traced: bool) -> String {
     cqc_obs::trace::set_enabled(traced);
-    let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+    let server = RunningServer::bind("127.0.0.1:0", config_of_width(threads)).expect("bind");
     let report = run_against(server.addr(), options).expect("loadgen run");
     server.shutdown();
     cqc_obs::trace::set_enabled(false);
@@ -47,6 +70,7 @@ fn transcript(options: &LoadgenOptions, traced: bool) -> String {
 
 #[test]
 fn tracing_never_changes_a_byte_on_the_wire() {
+    let _pool = exclusive_pool();
     let base = LoadgenOptions {
         requests: 12,
         connections: 2,
@@ -62,7 +86,6 @@ fn tracing_never_changes_a_byte_on_the_wire() {
     let _ = cqc_obs::trace::drain(); // isolate from earlier activity
 
     for pool_width in [1usize, 2, 8] {
-        set_worker_cap(pool_width);
         for shards in [1usize, 4] {
             for protocol in [Protocol::Http, Protocol::Ndjson] {
                 let options = LoadgenOptions {
@@ -70,13 +93,13 @@ fn tracing_never_changes_a_byte_on_the_wire() {
                     protocol,
                     ..base.clone()
                 };
-                let off = transcript(&options, false);
+                let off = transcript(&options, pool_width, false);
                 assert_eq!(
                     cqc_obs::trace::drain().events.len(),
                     0,
                     "a disabled tracer must record nothing"
                 );
-                let on = transcript(&options, true);
+                let on = transcript(&options, pool_width, true);
                 let trace = cqc_obs::trace::drain();
                 assert_eq!(
                     off, on,
@@ -95,14 +118,13 @@ fn tracing_never_changes_a_byte_on_the_wire() {
     // The whole stack on — tracer, wide-event log with a file sink, flight
     // recorder — plus a concurrent /debug scraper: still not a byte of
     // difference on the wire, on either protocol.
-    set_worker_cap(2);
     for protocol in [Protocol::Http, Protocol::Ndjson] {
         let options = LoadgenOptions {
             shards: Some(2),
             protocol,
             ..base.clone()
         };
-        let off = transcript(&options, false);
+        let off = transcript(&options, 2, false);
 
         cqc_obs::trace::set_enabled(true);
         cqc_obs::wide::set_enabled(true);
@@ -115,7 +137,7 @@ fn tracing_never_changes_a_byte_on_the_wire() {
             "127.0.0.1:0",
             NetConfig {
                 request_log: Some(log_path.clone()),
-                ..NetConfig::default()
+                ..config_of_width(2)
             },
         )
         .expect("bind");
@@ -171,7 +193,6 @@ fn tracing_never_changes_a_byte_on_the_wire() {
         assert!(!log_text.contains("\"endpoint\":\"debug"), "{log_text}");
         std::fs::remove_file(&log_path).ok();
     }
-    set_worker_cap(0); // restore auto for other tests in this process
 
     // correlation echoes: byte-identical with the tracer on and off
     for traced in [false, true] {

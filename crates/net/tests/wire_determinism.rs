@@ -2,7 +2,7 @@
 //! layer): for one seeded request mix, the transcript of response bodies
 //! received over real loopback TCP must be byte-identical across
 //!
-//! * server worker-pool widths {1, 2, 8},
+//! * server widths (`ServerConfig::threads`) {1, 2, 8},
 //! * client connection counts {1, 4},
 //! * shard counts {1, 4},
 //!
@@ -13,15 +13,35 @@
 //!
 //! A second test drives a 1000-request mix through the full stack and
 //! renders `BENCH_serve.json`, pinning the loadgen path end to end.
+//!
+//! A parallel loop that finds the process-wide worker pool busy runs
+//! inline on its caller, so the tests serialise on [`WIDTH_LOCK`]: an
+//! 8-wide server must not quietly turn serial because another test holds
+//! the pool.
 
 use cqc_net::loadgen::{bench_json, run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
-use cqc_runtime::pool::set_worker_cap;
+use cqc_serve::ServerConfig;
+use std::sync::{Mutex, MutexGuard};
 
-/// Run one loadgen configuration against a fresh server, returning the
-/// id-ordered transcript.
-fn transcript(options: &LoadgenOptions) -> String {
-    let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+/// Held by every test in this file: the worker pool is process-wide.
+static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run one loadgen configuration against a fresh server of the given
+/// width (`0` = auto), returning the id-ordered transcript.
+fn transcript(options: &LoadgenOptions, threads: usize) -> String {
+    let config = NetConfig {
+        serve: ServerConfig {
+            threads,
+            ..ServerConfig::default()
+        },
+        ..NetConfig::default()
+    };
+    let server = RunningServer::bind("127.0.0.1:0", config).expect("bind");
     let report = run_against(server.addr(), options).expect("loadgen run");
     server.shutdown();
     assert_eq!(
@@ -35,6 +55,7 @@ fn transcript(options: &LoadgenOptions) -> String {
 
 #[test]
 fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
+    let _pool = exclusive_pool();
     let base = LoadgenOptions {
         requests: 12,
         connections: 1,
@@ -46,7 +67,7 @@ fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
         protocol: Protocol::Http,
         suite: None,
     };
-    let reference = transcript(&base);
+    let reference = transcript(&base, 0);
     // the mix exercises estimates (the `estimate_bits` member pins f64 bits)
     assert!(reference.contains("\"estimate_bits\""), "{reference}");
 
@@ -56,7 +77,6 @@ fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
     };
     let before = std::time::Instant::now();
     for pool_width in [1usize, 2, 8] {
-        set_worker_cap(pool_width);
         for connections in [1usize, 4] {
             for shards in [1usize, 4] {
                 let options = LoadgenOptions {
@@ -64,7 +84,7 @@ fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
                     shards: Some(shards),
                     ..base.clone()
                 };
-                let got = transcript(&options);
+                let got = transcript(&options, pool_width);
                 assert_eq!(
                     strip_shards(&got),
                     strip_shards(&reference),
@@ -73,20 +93,23 @@ fn transcripts_are_byte_identical_across_pools_connections_and_shards() {
             }
         }
     }
-    set_worker_cap(0); // restore auto for other tests in this process
     eprintln!("matrix wall: {:?}", before.elapsed());
 
     // protocol axis: raw NDJSON over TCP returns the same bytes as HTTP
-    let ndjson = transcript(&LoadgenOptions {
-        connections: 4,
-        protocol: Protocol::Ndjson,
-        ..base.clone()
-    });
+    let ndjson = transcript(
+        &LoadgenOptions {
+            connections: 4,
+            protocol: Protocol::Ndjson,
+            ..base.clone()
+        },
+        0,
+    );
     assert_eq!(ndjson, reference, "NDJSON and HTTP transcripts must agree");
 }
 
 #[test]
 fn suite_mixes_are_deterministic_on_the_wire_for_every_class() {
+    let _pool = exclusive_pool();
     // the enumerated suites are loadgen sources too: same seed, same
     // class → byte-identical transcripts across connections and protocols
     for class in cqc_workloads::ALL_CLASSES {
@@ -102,12 +125,15 @@ fn suite_mixes_are_deterministic_on_the_wire_for_every_class() {
             protocol: Protocol::Http,
             suite: Some(class),
         };
-        let reference = transcript(&base);
-        let other = transcript(&LoadgenOptions {
-            connections: 3,
-            protocol: Protocol::Ndjson,
-            ..base.clone()
-        });
+        let reference = transcript(&base, 0);
+        let other = transcript(
+            &LoadgenOptions {
+                connections: 3,
+                protocol: Protocol::Ndjson,
+                ..base.clone()
+            },
+            0,
+        );
         assert_eq!(reference, other, "suite transcript drifted for {class:?}");
         // the suite is echoed into the bench report
         let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
@@ -123,6 +149,7 @@ fn suite_mixes_are_deterministic_on_the_wire_for_every_class() {
 
 #[test]
 fn a_1k_request_loadgen_run_completes_and_emits_bench_json() {
+    let _pool = exclusive_pool();
     let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
     let options = LoadgenOptions {
         requests: 1000,

@@ -53,15 +53,16 @@
 //!
 //! Work is executed by the **persistent worker pool** of [`pool`]: a
 //! `par_*` call publishes its loop body as a scoped job, the calling
-//! thread participates, and up to `threads − 1` long-lived pool workers
-//! join in — dispatching costs a mutex lock and a wakeup instead of a
-//! thread spawn per call, which is what makes fanning out *small* oracle
-//! calls profitable. Nested calls (a `par_*` issued from inside a pool
-//! worker) and calls that find the pool busy fall back to per-call
-//! `std::thread::scope` spawning, which is semantically identical. The
-//! pool module carries the repository's only `unsafe` (lifetime-erased
-//! scoped jobs behind a retire-before-return protocol — see its docs);
-//! everything else in the workspace remains `forbid(unsafe_code)`.
+//! thread participates, and `threads − 1` long-lived pool workers join
+//! in — dispatching costs a mutex lock and a wakeup instead of a thread
+//! spawn per call, which is what makes fanning out *small* oracle calls
+//! profitable. The thread count is the one and only width: the pool has
+//! no cap of its own and grows to the widest call it is asked for. Nested
+//! calls (a `par_*` issued from inside a pool worker) and calls that find
+//! the pool busy run their body once, inline on the calling thread —
+//! the serial loop, with identical results. The pool module carries the
+//! runtime's only `unsafe` (lifetime-erased scoped jobs behind a
+//! retire-before-return protocol — see its docs).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -104,41 +105,12 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// A resolved parallel execution context: a thread count plus the
 /// deterministic `par_*` primitives. Cheap to copy and pass down the call
-/// stack; work runs on the persistent worker [`pool`] (with a scoped-spawn
-/// fallback for nested or contended calls).
-#[derive(Clone, Copy)]
+/// stack; work runs on the persistent worker [`pool`], or inline on the
+/// caller when the pool refuses (nested or contended calls).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
     threads: usize,
-    /// `false` forces the per-call scoped-spawn path (benchmarking the
-    /// pool against its predecessor; results are identical either way).
-    use_pool: bool,
-    /// Pool to dispatch on (`None` = the process-wide [`pool::global`]).
-    pool: Option<&'static pool::Pool>,
 }
-
-impl std::fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runtime")
-            .field("threads", &self.threads)
-            .field("use_pool", &self.use_pool)
-            .field("local_pool", &self.pool.is_some())
-            .finish()
-    }
-}
-
-impl PartialEq for Runtime {
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.use_pool == other.use_pool
-            && match (self.pool, other.pool) {
-                (Some(a), Some(b)) => std::ptr::eq(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-    }
-}
-
-impl Eq for Runtime {}
 
 impl Default for Runtime {
     /// Equivalent to `Runtime::new(0)` (automatic thread selection).
@@ -153,81 +125,29 @@ impl Runtime {
     pub fn new(requested: usize) -> Self {
         Runtime {
             threads: resolve_threads(requested).max(1),
-            use_pool: true,
-            pool: None,
         }
     }
 
     /// The single-threaded runtime (all `par_*` calls degenerate to serial
     /// loops on the calling thread; used to avoid nested oversubscription).
     pub const fn serial() -> Self {
-        Runtime {
-            threads: 1,
-            use_pool: true,
-            pool: None,
-        }
+        Runtime { threads: 1 }
     }
 
-    /// The resolved number of worker threads.
+    /// The resolved number of worker threads: the width of every `par_*`
+    /// call that the pool accepts.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// This runtime with a different resolved thread count, keeping the
-    /// pool configuration (used by `count_batch` to hand leftover width to
-    /// the inner per-evaluation runtime).
-    pub fn with_threads(mut self, requested: usize) -> Self {
-        self.threads = resolve_threads(requested).max(1);
-        self
-    }
-
-    /// Dispatch `par_*` calls on the given pool instead of the process-wide
-    /// [`pool::global`]. The pool (like the thread count) affects wall
-    /// times only, never results; the determinism matrix in
-    /// `tests/parallel_determinism.rs` runs engines against pools of width
-    /// 1, 2 and 8 and requires bit-identical estimates.
-    pub fn with_pool(mut self, pool: &'static pool::Pool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Force the per-call scoped-spawn path, bypassing the persistent pool
-    /// (the pre-pool implementation, kept as the nested/contended fallback;
-    /// exposed so benchmarks can measure the spawn tax the pool removes).
-    pub fn without_pool(mut self) -> Self {
-        self.use_pool = false;
-        self
-    }
-
-    /// Run `body` on up to `width` participants: the calling thread plus
-    /// `width − 1` pool helpers, falling back to scoped spawning when the
-    /// pool refuses (nested call, pool busy, or [`Runtime::without_pool`]).
-    /// Every participant runs `body` exactly once; `body` self-schedules
-    /// over an atomic cursor, so participant count affects scheduling only.
+    /// Run `body` on `width` participants — the calling thread plus
+    /// `width − 1` pool helpers — or, when the pool refuses (nested call,
+    /// pool busy), once, inline on the caller. `body` self-schedules over
+    /// an atomic cursor, so participant count affects scheduling only.
     fn execute_wide(&self, width: usize, body: &(dyn Fn() + Sync)) {
-        let mut width = width;
-        if width > 1 && self.use_pool {
-            let pool = self.pool.unwrap_or_else(pool::global);
-            if pool.try_execute(width, body) {
-                return;
-            }
-            // The fallback still honours the pool's width cap
-            // (`--workers` / `COUNTING_POOL_WORKERS`): a nested or
-            // pool-busy caller must not exceed the operator's bound just
-            // because it spawns its own scoped threads.
-            width = width.min(pool.width());
-        }
-        if width <= 1 {
+        if !pool::global().try_execute(width, body) {
             body();
-            return;
         }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (1..width).map(|_| s.spawn(body)).collect();
-            body();
-            for h in handles {
-                h.join().expect("runtime worker panicked");
-            }
-        });
     }
 
     /// Chunk size for `n` items: small enough that work can be stolen
@@ -347,6 +267,15 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Arc, MutexGuard};
+
+    /// Serialises the tests that dispatch on the process-wide pool, so the
+    /// nested and busy-pool tests below control exactly who holds it.
+    static GLOBAL_POOL: Mutex<()> = Mutex::new(());
+
+    fn hold_global_pool() -> MutexGuard<'static, ()> {
+        GLOBAL_POOL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn split_seed_is_a_pure_injective_looking_mix() {
@@ -367,6 +296,7 @@ mod tests {
 
     #[test]
     fn par_map_matches_serial_for_every_thread_count() {
+        let _pool = hold_global_pool();
         let inputs: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = inputs.iter().map(|&x| x * x + 1).collect();
         for threads in [1, 2, 3, 8] {
@@ -388,6 +318,7 @@ mod tests {
 
     #[test]
     fn par_reduce_folds_in_index_order() {
+        let _pool = hold_global_pool();
         // string concatenation is order-sensitive: catches any shuffle
         let items: Vec<usize> = (0..100).collect();
         let serial: String = items.iter().map(|i| format!("{i},")).collect();
@@ -408,6 +339,7 @@ mod tests {
 
     #[test]
     fn par_any_agrees_with_serial_any() {
+        let _pool = hold_global_pool();
         for threads in [1, 2, 8] {
             let rt = Runtime::new(threads);
             assert!(rt.par_any_n(100, |i| i == 97));
@@ -418,6 +350,7 @@ mod tests {
 
     #[test]
     fn par_any_early_exit_skips_work() {
+        let _pool = hold_global_pool();
         // with a witness at index 0, an 8-thread scan of 10_000 items must
         // not evaluate all of them (cooperative cancellation)
         let evaluated = AtomicU64::new(0);
@@ -429,79 +362,82 @@ mod tests {
         assert!(evaluated.load(Ordering::Relaxed) < 10_000);
     }
 
-    #[test]
-    fn pool_scoped_and_serial_paths_agree() {
-        let inputs: Vec<u64> = (0..513).collect();
-        let serial: Vec<u64> = inputs.iter().map(|&x| x.wrapping_mul(x) ^ 3).collect();
-        for threads in [2usize, 8] {
-            let pooled = Runtime::new(threads);
-            let scoped = Runtime::new(threads).without_pool();
-            assert_eq!(
-                pooled.par_map(&inputs, |_, &x| x.wrapping_mul(x) ^ 3),
-                serial
-            );
-            assert_eq!(
-                scoped.par_map(&inputs, |_, &x| x.wrapping_mul(x) ^ 3),
-                serial
-            );
-            assert!(pooled.par_any_n(513, |i| i == 400));
-            assert!(scoped.par_any_n(513, |i| i == 400));
-        }
-    }
-
-    #[test]
-    fn local_pools_of_any_width_give_identical_results() {
-        let serial: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-        for width in [1usize, 2, 8] {
-            let p: &'static pool::Pool = Box::leak(Box::new(pool::Pool::new(width)));
-            let rt = Runtime::new(8).with_pool(p);
-            assert_eq!(
-                rt.par_map_n(257, |i| i * 3 + 1),
-                serial,
-                "pool width {width}"
-            );
-        }
-    }
-
-    #[test]
-    fn nested_par_calls_fall_back_to_scoped_spawn() {
-        // outer par_map on the pool; inner par_map from pool workers must
-        // not deadlock and must produce the same results
-        let rt = Runtime::new(4);
-        let out = rt.par_map_n(8, |i| {
-            let inner = Runtime::new(2);
-            inner
-                .par_map_n(16, |j| i * 100 + j)
-                .into_iter()
-                .sum::<usize>()
+    /// Runs a probe body through `rt.execute_wide` at full width and checks
+    /// that it ran exactly once, on the calling thread.
+    fn assert_runs_once_inline(rt: &Runtime) {
+        let caller = std::thread::current().id();
+        let runs = AtomicU64::new(0);
+        let elsewhere = AtomicBool::new(false);
+        rt.execute_wide(rt.threads(), &|| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            if std::thread::current().id() != caller {
+                elsewhere.store(true, Ordering::Relaxed);
+            }
         });
-        let expect: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(out, expect);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "body ran more than once");
+        assert!(!elsewhere.load(Ordering::Relaxed), "body left the caller");
+    }
+
+    /// `par_map_n` and `par_any_n` on `rt` agree with the serial loops.
+    fn assert_serial_results(rt: &Runtime) {
+        let serial: Vec<u64> = (0..513u64).map(|x| x.wrapping_mul(x) ^ 3).collect();
+        assert_eq!(rt.par_map_n(513, |i| serial[i]), serial);
+        assert!(rt.par_any_n(513, |i| i == 400));
+        assert!(!rt.par_any_n(513, |i| i > 1000));
     }
 
     #[test]
-    fn traced_pool_dispatches_record_instants() {
-        // a dedicated pool guarantees the dispatch is accepted (never
-        // busy), so the `pool_dispatch` instant must appear; helper
-        // chunk claims surface as `steal` instants. The tracer is
-        // process-global, so concurrent tests may add events — the
-        // assertions only require presence, never exact counts.
-        let p: &'static pool::Pool = Box::leak(Box::new(pool::Pool::new(4)));
-        let rt = Runtime::new(4).with_pool(p);
-        cqc_obs::trace::set_enabled(true);
-        let out: usize = rt.par_map_n(1024, |i| i).into_iter().sum();
-        cqc_obs::trace::set_enabled(false);
-        let trace = cqc_obs::trace::drain();
-        assert_eq!(out, 1024 * 1023 / 2);
-        let ndjson = trace.to_ndjson();
-        assert!(ndjson.contains("\"name\":\"pool_dispatch\""), "{ndjson}");
-        // the result is identical with the tracer off (and nothing records)
-        let again: usize = rt.par_map_n(1024, |i| i).into_iter().sum();
-        assert_eq!(again, out);
+    fn nested_calls_run_once_inline_with_serial_results() {
+        let _pool = hold_global_pool();
+        let rt = Runtime::new(4);
+        let joined = AtomicU64::new(0);
+        let nested_on_helper = AtomicBool::new(false);
+        // Both participants wait until a pool helper has joined, so the
+        // nested calls run on the helper (a pool worker) and on the caller
+        // (whose own job keeps the pool busy).
+        rt.execute_wide(2, &|| {
+            joined.fetch_add(1, Ordering::SeqCst);
+            while joined.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            assert_runs_once_inline(&rt);
+            assert_serial_results(&rt);
+            if pool::on_pool_worker() {
+                nested_on_helper.store(true, Ordering::Relaxed);
+            }
+        });
+        assert!(nested_on_helper.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_busy_pool_runs_the_call_once_inline_with_serial_results() {
+        let _pool = hold_global_pool();
+        let entered = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let occupant = {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            std::thread::spawn(move || {
+                pool::global().try_execute(2, &|| {
+                    entered.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                })
+            })
+        };
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let rt = Runtime::new(4);
+        assert_runs_once_inline(&rt);
+        assert_serial_results(&rt);
+        release.store(true, Ordering::SeqCst);
+        assert!(occupant.join().unwrap(), "the occupant's job was accepted");
     }
 
     #[test]
     fn seeded_streams_are_schedule_independent() {
+        let _pool = hold_global_pool();
         // simulate the estimator pattern: item i draws from its own stream;
         // the order-insensitive sum is identical across thread counts
         let total = |threads: usize| -> u64 {

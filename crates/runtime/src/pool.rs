@@ -2,11 +2,11 @@
 //!
 //! ## Why a pool
 //!
-//! The original runtime spawned scoped worker threads *per `par_*` call*
-//! (`std::thread::scope`). That keeps the crate trivially safe, but every
-//! small oracle call pays the thread-spawn tax — tens of microseconds per
-//! worker — which is why the colour-coding oracle needed a serial cutoff
-//! (`work_proxy`) to stay competitive on small instances. This module
+//! The original runtime spawned scoped worker threads *per `par_*` call*.
+//! That keeps the crate trivially safe, but every small oracle call pays
+//! the thread-spawn tax — tens of microseconds per worker — which is why
+//! the colour-coding oracle needed a serial cutoff (`work_proxy`) to stay
+//! competitive on small instances. This module
 //! replaces the per-call spawn with **long-lived workers** that park on a
 //! condvar between jobs: dispatching a job is a mutex lock plus a wakeup,
 //! two orders of magnitude cheaper than a spawn.
@@ -15,11 +15,11 @@
 //!
 //! A *job* is a borrowed closure `&(dyn Fn() + Sync)` that every
 //! participant runs exactly once (the closure loops over an atomic work
-//! cursor internally, exactly like the scoped-spawn loop bodies did). The
-//! closure borrows the caller's stack — results sink, work cursor, the
-//! user's `f` — so handing it to threads that outlive the call requires
-//! erasing its lifetime. That erasure is the **only `unsafe` in the
-//! repository**, and it is sound because of a strict protocol:
+//! cursor internally). The closure borrows the caller's stack — results
+//! sink, work cursor, the user's `f` — so handing it to threads that
+//! outlive the call requires erasing its lifetime. That erasure is the
+//! runtime's **only `unsafe`**, and it is sound because of a strict
+//! protocol:
 //!
 //! 1. **Publish.** [`Pool::try_execute`] installs the erased closure under
 //!    the pool mutex together with a *slot count* (how many helpers may
@@ -41,23 +41,25 @@
 //!
 //! ## Determinism
 //!
-//! The pool affects **scheduling only**. Which thread claims a slot, how
-//! many helpers wake up in time to participate, and the
-//! `COUNTING_POOL_WORKERS` cap all change nothing about results: the
-//! runtime's `par_*` primitives key every result by work-item index and
-//! fold in index order, and every RNG stream derives from
-//! `(seed, item index)` (see the crate docs). The pool-width matrix in
+//! The pool affects **scheduling only**. Which thread claims a slot and
+//! how many helpers wake up in time to participate change nothing about
+//! results: the runtime's `par_*` primitives key every result by work-item
+//! index and fold in index order, and every RNG stream derives from
+//! `(seed, item index)` (see the crate docs). The width matrix in
 //! `tests/parallel_determinism.rs` pins this: estimates are bit-identical
-//! for pool widths 1, 2 and 8 and equal to the serial path.
+//! at 1, 2 and 8 threads and equal to the serial path.
 //!
-//! ## Nesting and contention
+//! ## Sizing, nesting and contention
 //!
-//! Jobs do not nest *inside the pool*: a `par_*` call issued from within a
-//! pool worker (e.g. the inner per-evaluation runtime of `count_batch`)
-//! falls back to the scoped-spawn path, as does a call that finds the pool
-//! busy with another top-level job. The fallback is semantically identical
-//! — it is the pre-pool implementation — so the pool is purely a fast
-//! path.
+//! The pool has no width of its own. A call asks for `width` participants
+//! (the runtime's thread count) and the pool spawns helpers lazily up to
+//! the widest call it has seen; parked helpers cost nothing.
+//!
+//! Jobs do not nest: [`Pool::try_execute`] refuses a call issued from
+//! within a pool worker (e.g. an oracle call inside a `count_batch` or
+//! serve-shard item) and a call that finds another job in flight. The
+//! runtime then runs the body once, inline on the calling thread — the
+//! serial loop, with identical results.
 
 #![allow(unsafe_code)]
 
@@ -67,54 +69,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Environment variable capping the persistent pool width (caller plus
-/// helper workers). `COUNTING_POOL_WORKERS=1` forces every pooled `par_*`
-/// call to run inline on the calling thread — CI runs the whole suite this
-/// way to pin the determinism contract. Unset: the machine's available
-/// parallelism. Re-read on every dispatch, so tests can vary it at runtime.
-pub const POOL_WORKERS_ENV: &str = "COUNTING_POOL_WORKERS";
-
-/// Process-wide programmatic override for the pool width cap (0 = unset).
-/// Takes precedence over [`POOL_WORKERS_ENV`]; set by `cqc --workers`.
-static WORKER_CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the global pool's width cap programmatically (the CLI's
-/// `--workers` flag). `0` clears the override, falling back to
-/// [`POOL_WORKERS_ENV`] and then to the available parallelism. Like the
-/// thread count, the cap never affects estimates — only wall times.
-pub fn set_worker_cap(cap: usize) {
-    WORKER_CAP_OVERRIDE.store(cap, Ordering::Relaxed);
-}
-
-/// Resolve the current width cap of the global pool: the
-/// [`set_worker_cap`] override if set, else [`POOL_WORKERS_ENV`], else
-/// `std::thread::available_parallelism()`.
-pub fn resolve_pool_workers() -> usize {
-    let cap = WORKER_CAP_OVERRIDE.load(Ordering::Relaxed);
-    if cap > 0 {
-        return cap;
-    }
-    if let Ok(raw) = std::env::var(POOL_WORKERS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 thread_local! {
     /// Set for the lifetime of every pool worker thread; lets nested
     /// `par_*` calls detect that they are already running on the pool.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Is the current thread a pool worker? Nested parallel calls use this to
-/// fall back to scoped spawning instead of deadlocking on their own pool.
-pub fn on_pool_worker() -> bool {
+/// Is the current thread a pool worker? Nested parallel calls are refused
+/// on pool workers, so they run inline instead of deadlocking on the pool.
+pub(crate) fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
 
@@ -140,6 +103,7 @@ struct ErasedJob(*const (dyn Fn() + Sync));
 // raw pointer is only a lifetime-erasure device, never used for mutation.
 unsafe impl Send for ErasedJob {}
 
+#[derive(Default)]
 struct State {
     /// The in-flight job, if any. `Some` between publish and retire.
     job: Option<ErasedJob>,
@@ -157,6 +121,7 @@ struct State {
     shutdown: bool,
 }
 
+#[derive(Default)]
 struct Shared {
     state: Mutex<State>,
     /// Workers park here between jobs.
@@ -167,92 +132,49 @@ struct Shared {
 
 /// A persistent worker pool: long-lived threads that execute borrowed
 /// scoped jobs (see the module docs for the protocol). One process-wide
-/// pool serves every [`crate::Runtime`] by default ([`global`]); fixed-width
-/// local pools ([`Pool::new`]) exist for tests and embedders that want
-/// isolated sizing.
+/// pool serves every [`crate::Runtime`] ([`global`]); private pools exist
+/// only for the protocol's unit tests.
 pub struct Pool {
     shared: Arc<Shared>,
-    /// `Some(w)`: fixed total width (caller + `w − 1` helpers).
-    /// `None`: dynamic — re-resolve [`resolve_pool_workers`] per dispatch.
-    fixed_width: Option<usize>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("width", &self.width())
-            .field("fixed", &self.fixed_width.is_some())
-            .finish()
-    }
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
-/// The process-wide pool used by every [`crate::Runtime`] unless a local
-/// pool was attached explicitly. Sized by [`resolve_pool_workers`],
-/// re-evaluated on every dispatch (workers are spawned lazily and never
-/// torn down; parked workers cost nothing).
+/// The process-wide pool used by every [`crate::Runtime`]. Workers are
+/// spawned lazily up to the widest call seen and never torn down; parked
+/// workers cost nothing.
 pub fn global() -> &'static Pool {
-    GLOBAL.get_or_init(|| Pool {
-        shared: Pool::fresh_shared(),
-        fixed_width: None,
-        handles: Mutex::new(Vec::new()),
-    })
+    GLOBAL.get_or_init(Pool::new)
 }
 
 impl Pool {
-    fn fresh_shared() -> Arc<Shared> {
-        Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                epoch: 0,
-                slots: 0,
-                active: 0,
-                panicked: false,
-                spawned: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    /// A pool of fixed total width: the caller plus `width − 1` persistent
-    /// helper threads (spawned lazily). `width ≤ 1` gives a pool that runs
-    /// every job inline on the caller. Intended for tests (the determinism
-    /// matrix runs engines against pools of width 1, 2 and 8 in one
-    /// process) and embedders that want isolated sizing; everything else
-    /// should use [`global`].
-    pub fn new(width: usize) -> Pool {
+    /// An empty pool; helpers are spawned by the first wide call.
+    pub(crate) fn new() -> Pool {
         Pool {
-            shared: Pool::fresh_shared(),
-            fixed_width: Some(width.max(1)),
-            handles: Mutex::new(Vec::new()),
+            shared: Arc::default(),
+            handles: Mutex::default(),
         }
     }
 
-    /// The pool's current total width (caller + helpers): the fixed width
-    /// for [`Pool::new`] pools, [`resolve_pool_workers`] for the global one.
+    /// The pool's current width: the caller plus every helper spawned so
+    /// far, i.e. the widest call it has served.
     pub fn width(&self) -> usize {
-        self.fixed_width.unwrap_or_else(resolve_pool_workers).max(1)
+        1 + self.shared.state.lock().unwrap().spawned
     }
 
-    /// Run `body` with up to `width` participants (the calling thread plus
-    /// at most `width − 1` pool helpers, further capped by the pool's own
-    /// width). Every participant calls `body` exactly once; `body` is
-    /// expected to self-schedule over an atomic cursor.
+    /// Run `body` with `width` participants: the calling thread plus
+    /// `width − 1` pool helpers. Every participant calls `body` exactly
+    /// once; `body` is expected to self-schedule over an atomic cursor.
     ///
     /// Returns `false` without running anything when the pool cannot take
     /// the job — the caller is itself a pool worker (nested parallelism) or
-    /// another job is in flight — in which case the caller should fall back
-    /// to scoped spawning. Returns `true` once the job has fully retired:
-    /// no worker touches `body` after this function returns.
+    /// another job is in flight — in which case the caller runs `body`
+    /// inline. Returns `true` once the job has fully retired: no worker
+    /// touches `body` after this function returns.
     pub fn try_execute(&self, width: usize, body: &(dyn Fn() + Sync)) -> bool {
-        let helpers = width.min(self.width()).saturating_sub(1);
+        let helpers = width.saturating_sub(1);
         if helpers == 0 {
-            // Inline degenerate case (pool width 1, or width request 1):
-            // the pool "handles" it by running the body on the caller.
             body();
             return true;
         }
@@ -277,7 +199,7 @@ impl Pool {
             }
             st.job = Some(erase(body));
             st.epoch = st.epoch.wrapping_add(1);
-            st.slots = helpers.min(st.spawned);
+            st.slots = helpers;
             st.active = 0;
             st.panicked = false;
             self.shared.work_cv.notify_all();
@@ -389,18 +311,28 @@ mod tests {
 
     #[test]
     fn inline_when_width_one() {
-        let pool = Pool::new(1);
+        let pool = Pool::new();
         let ran = AtomicU64::new(0);
-        assert!(pool.try_execute(8, &|| {
+        assert!(pool.try_execute(1, &|| {
             ran.fetch_add(1, Ordering::Relaxed);
         }));
-        // width-1 pool: exactly one (inline) run, no helpers
+        // width-1 call: exactly one (inline) run, no helpers spawned
         assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.width(), 1);
+    }
+
+    #[test]
+    fn width_grows_to_the_widest_call() {
+        let pool = Pool::new();
+        assert!(pool.try_execute(3, &|| {}));
+        assert_eq!(pool.width(), 3);
+        assert!(pool.try_execute(2, &|| {}));
+        assert_eq!(pool.width(), 3, "helpers are never torn down");
     }
 
     #[test]
     fn executes_borrowed_state_and_retires() {
-        let pool = Pool::new(4);
+        let pool = Pool::new();
         for round in 0..50u64 {
             // borrow round-local state; retire-before-return means this is
             // sound even though the workers are long-lived
@@ -425,8 +357,8 @@ mod tests {
 
     #[test]
     fn nested_execute_from_worker_is_refused() {
-        let pool = Pool::new(4);
-        let inner_pool = Pool::new(2);
+        let pool = Pool::new();
+        let inner_pool = Pool::new();
         let participants = AtomicUsize::new(0);
         let refused = AtomicU64::new(0);
         assert!(pool.try_execute(4, &|| {
@@ -453,7 +385,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_after_retirement() {
-        let pool = Pool::new(4);
+        let pool = Pool::new();
         let cursor = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.try_execute(4, &|| loop {
@@ -474,27 +406,22 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_exists_and_reports_width() {
-        assert!(global().width() >= 1);
-        let ran = AtomicU64::new(0);
-        assert!(global().try_execute(2, &|| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert!(ran.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn worker_cap_override_wins() {
-        // avoid racing other tests: save and restore
-        let before = WORKER_CAP_OVERRIDE.load(Ordering::Relaxed);
-        set_worker_cap(3);
-        assert_eq!(resolve_pool_workers(), 3);
-        set_worker_cap(before);
+    fn traced_dispatches_record_instants() {
+        // a private pool is never busy, so the dispatch is accepted and
+        // the `pool_dispatch` instant must appear. The tracer is
+        // process-global, so concurrent tests may add events — the
+        // assertion only requires presence, never exact counts.
+        let pool = Pool::new();
+        cqc_obs::trace::set_enabled(true);
+        assert!(pool.try_execute(4, &|| {}));
+        cqc_obs::trace::set_enabled(false);
+        let ndjson = cqc_obs::trace::drain().to_ndjson();
+        assert!(ndjson.contains("\"name\":\"pool_dispatch\""), "{ndjson}");
     }
 
     #[test]
     fn drop_joins_workers() {
-        let pool = Pool::new(3);
+        let pool = Pool::new();
         let cursor = AtomicUsize::new(0);
         assert!(pool.try_execute(3, &|| {
             while cursor.fetch_add(1, Ordering::Relaxed) < 1000 {}

@@ -25,7 +25,7 @@ use cqc_core::{Backend, CoreError, Engine, EngineBuilder, EstimateReport, Prepar
 use cqc_data::{parse_facts, Structure};
 use cqc_obs::{Counter, Histogram, Registry, Stopwatch};
 use cqc_query::parse_query;
-use cqc_runtime::{split_seed, Runtime};
+use cqc_runtime::{resolve_threads, split_seed, Runtime};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -110,8 +110,8 @@ impl Default for ServerConfig {
 }
 
 /// Per-request `workers` values above this are rejected as absurd: no
-/// deployment has tens of thousands of cores, and a typo'd huge width
-/// would otherwise ask the runtime for that many scoped threads.
+/// deployment has tens of thousands of cores. Accepted values are further
+/// clamped to the server's own width ([`ServerConfig::threads`]).
 pub const MAX_REQUEST_WORKERS: u64 = 4096;
 
 /// A request may ask for at most this many shards **per work item** —
@@ -478,10 +478,13 @@ impl Server {
         };
         // Optional per-request worker width for the inner evaluations.
         // Width never changes results, but `0` would mean "auto" by
-        // accident and absurd widths would ask for that many threads, so
-        // both are rejected up front.
+        // accident and absurd widths are malformed, so both are rejected up
+        // front. An accepted width is clamped to the server's own: the
+        // worker pool grows to the widest call it is asked for, so a client
+        // must not be able to widen it.
+        let width = resolve_threads(self.config.threads);
         let workers = match req.get("workers") {
-            None => self.config.threads,
+            None => width,
             Some(v) => v
                 .as_u64()
                 .filter(|&w| (1..=MAX_REQUEST_WORKERS).contains(&w))
@@ -489,7 +492,8 @@ impl Server {
                     ServeError::Request(format!(
                         "`workers` must be a positive integer at most {MAX_REQUEST_WORKERS}"
                     ))
-                })? as usize,
+                })?
+                .min(width as u64) as usize,
         };
         let backend = match req.get("method") {
             None => Backend::Auto,

@@ -18,7 +18,7 @@
 //!   locally injective homomorphisms, the Observation 10 construction),
 //! * [`runtime`] — the deterministic parallel runtime (std-only persistent
 //!   worker pool, seed-splitting; estimates are bit-identical for any
-//!   thread count and pool width),
+//!   thread count),
 //! * [`serve`] — the sharded serving front end (JSON request loop; sharded
 //!   responses are byte-identical to single-node runs),
 //! * [`workloads`] — generators used by the examples and benchmarks.
@@ -91,7 +91,6 @@ pub mod prelude {
     };
     pub use cqc_data::{Database, Structure, StructureBuilder, Val};
     pub use cqc_query::{parse_query, Query, QueryBuilder, QueryClass};
-    pub use cqc_runtime::pool::{resolve_pool_workers, Pool};
     pub use cqc_runtime::{resolve_threads, split_seed, split_seed2, Runtime};
     pub use cqc_serve::{count_sharded, Server, ServerConfig};
 }

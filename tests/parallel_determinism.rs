@@ -5,6 +5,11 @@
 //! loops, so for a fixed seed the estimates — FPRAS, FPTRAS, batch, and
 //! sampling — must be **bit-identical** for 1, 2, and 8 threads, across all
 //! three query classes of Figure 1.
+//!
+//! The thread count is the width of every parallel loop, but a loop that
+//! finds the process-wide worker pool busy runs inline on its caller. The
+//! tests therefore serialise on [`WIDTH_LOCK`], so an 8-thread case really
+//! runs 8 wide instead of quietly turning serial.
 
 use cqcount::prelude::*;
 use cqcount::workloads::{
@@ -13,6 +18,14 @@ use cqcount::workloads::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test in this file: the worker pool is process-wide.
+static WIDTH_LOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive_pool() -> MutexGuard<'static, ()> {
+    WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn snapshot(n: usize, avg_deg: f64, seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -45,21 +58,18 @@ fn engine_with_threads(seed: u64, threads: usize) -> Engine {
         .unwrap()
 }
 
-/// The pool matrix: estimates must be bit-identical across persistent
-/// worker pools of width 1, 2 and 8 — and identical to the serial path —
-/// for all three query classes of Figure 1. The pool (like the thread
-/// count) may only change scheduling, never results: every RNG stream is
-/// keyed by `(seed, work-item index)` and every estimate-feeding reduction
-/// folds in index order. `COUNTING_POOL_WORKERS` applies the same widths
-/// process-wide (CI runs a `COUNTING_POOL_WORKERS=1` leg); this in-process
-/// matrix uses explicit pools so one run covers all three widths.
+/// The width matrix: estimates must be bit-identical at pool widths
+/// (thread counts) 1, 2 and 8 — and identical to the serial path — for all
+/// three query classes of Figure 1. The width may only change scheduling,
+/// never results: every RNG stream is keyed by `(seed, work-item index)`
+/// and every estimate-feeding reduction folds in index order.
+/// `COUNTING_THREADS` applies a width process-wide (CI runs a
+/// `COUNTING_THREADS=1` leg); this in-process matrix sets `.threads(w)`
+/// so one run covers all three widths.
 #[test]
 fn pool_width_matrix_is_bit_identical_to_the_serial_path() {
+    let _pool = exclusive_pool();
     let dbs = [snapshot(11, 2.5, 0xA11CE), snapshot(13, 3.0, 0xB0B)];
-    let pools: Vec<&'static Pool> = [1usize, 2, 8]
-        .iter()
-        .map(|&w| &*Box::leak(Box::new(Pool::new(w))))
-        .collect();
     for (class, q) in workload_queries() {
         // the serial reference: one thread, no pool participation at all
         let serial: Vec<u64> = {
@@ -68,22 +78,14 @@ fn pool_width_matrix_is_bit_identical_to_the_serial_path() {
                 .map(|db| prepared.count(db).unwrap().estimate.to_bits())
                 .collect()
         };
-        for &pool in &pools {
-            let engine = Engine::builder()
-                .accuracy(0.25, 0.05)
-                .seed(0xC0FFEE)
-                .threads(8)
-                .worker_pool(pool)
-                .build()
-                .unwrap();
-            let prepared = engine.prepare(&q).unwrap();
+        for width in [1usize, 2, 8] {
+            let prepared = engine_with_threads(0xC0FFEE, width).prepare(&q).unwrap();
             for (db, &expect) in dbs.iter().zip(&serial) {
                 let r = prepared.count(db).unwrap();
                 assert_eq!(
                     r.estimate.to_bits(),
                     expect,
-                    "{class:?}: pool width {} diverged from the serial path ({} vs {})",
-                    pool.width(),
+                    "{class:?}: pool width {width} diverged from the serial path ({} vs {})",
                     r.estimate,
                     f64::from_bits(expect)
                 );
@@ -94,8 +96,7 @@ fn pool_width_matrix_is_bit_identical_to_the_serial_path() {
                 assert_eq!(
                     r.estimate.to_bits(),
                     expect,
-                    "{class:?}: count_batch on pool width {} diverged",
-                    pool.width()
+                    "{class:?}: count_batch on pool width {width} diverged"
                 );
             }
         }
@@ -104,13 +105,15 @@ fn pool_width_matrix_is_bit_identical_to_the_serial_path() {
 
 /// Queries sampled from the enumerated workload grammar feed the same
 /// contract: for each Figure-1 class, draw a seeded suite and check that
-/// estimates are bit-identical across worker-pool widths {1, 2, 8} and
-/// shard counts {1, 4}. The unsharded serial run is the reference;
-/// `count_sharded` keys every item's RNG stream by `(seed, item index)`,
-/// so neither the pool nor the shard assignment may move a single bit.
+/// estimates are bit-identical across pool widths (thread counts)
+/// {1, 2, 8} and shard counts {1, 4}. The unsharded serial run is the
+/// reference; `count_sharded` keys every item's RNG stream by
+/// `(seed, item index)`, so neither the width nor the shard assignment may
+/// move a single bit.
 #[test]
 fn grammar_sampled_queries_are_bit_identical_across_pools_and_shards() {
     use cqcount::workloads::{suite, suite_database};
+    let _pool = exclusive_pool();
     let dbs = [suite_database(0xD15C, 24), suite_database(0xD15C ^ 1, 30)];
     for class in [QueryClass::CQ, QueryClass::DCQ, QueryClass::ECQ] {
         let drawn = suite(class, 0x5EED5, 4);
@@ -126,18 +129,12 @@ fn grammar_sampled_queries_are_bit_identical_across_pools_and_shards() {
                     .collect()
             };
             for width in [1usize, 2, 8] {
-                let pool: &'static Pool = Box::leak(Box::new(Pool::new(width)));
-                let engine = Engine::builder()
-                    .accuracy(0.25, 0.05)
-                    .seed(0xC0FFEE)
-                    .threads(8)
-                    .worker_pool(pool)
-                    .build()
+                let prepared = engine_with_threads(0xC0FFEE, width)
+                    .prepare(&sq.query)
                     .unwrap();
-                let prepared = engine.prepare(&sq.query).unwrap();
                 for shards in [1usize, 4] {
-                    let got =
-                        count_sharded(&prepared, &dbs, 0xFEED, shards, Runtime::new(8)).unwrap();
+                    let got = count_sharded(&prepared, &dbs, 0xFEED, shards, Runtime::new(width))
+                        .unwrap();
                     for (r, &expect) in got.iter().zip(&reference) {
                         assert_eq!(
                             r.estimate.to_bits(),
@@ -155,10 +152,11 @@ fn grammar_sampled_queries_are_bit_identical_across_pools_and_shards() {
     }
 }
 
-/// Sampling through the pool matrix: the drawn answers (values and order)
-/// must match the serial path for every pool width.
+/// Sampling through the width matrix: the drawn answers (values and
+/// order) must match the serial path for every pool width.
 #[test]
 fn pool_width_matrix_sampling_matches_serial() {
+    let _pool = exclusive_pool();
     let db = snapshot(12, 3.0, 0xFACADE);
     for (_, q) in workload_queries() {
         let reference = engine_with_threads(99, 1)
@@ -167,14 +165,7 @@ fn pool_width_matrix_sampling_matches_serial() {
             .sample(&db, 5)
             .unwrap();
         for width in [1usize, 2, 8] {
-            let pool: &'static Pool = Box::leak(Box::new(Pool::new(width)));
-            let samples = Engine::builder()
-                .accuracy(0.25, 0.05)
-                .seed(99)
-                .threads(8)
-                .worker_pool(pool)
-                .build()
-                .unwrap()
+            let samples = engine_with_threads(99, width)
                 .prepare(&q)
                 .unwrap()
                 .sample(&db, 5)
@@ -191,6 +182,7 @@ proptest! {
     /// threads, for every query class.
     #[test]
     fn count_is_bit_identical_across_thread_counts(seed in any::<u64>(), db_seed in any::<u64>()) {
+        let _pool = exclusive_pool();
         let dbs = [snapshot(10, 2.5, db_seed), snapshot(14, 3.0, db_seed ^ 0xA5A5)];
         for (class, q) in workload_queries() {
             let reference: Vec<u64> = {
@@ -221,6 +213,7 @@ proptest! {
     /// to zero so the approximate counter always runs.
     #[test]
     fn fpras_sampling_regime_is_bit_identical(seed in any::<u64>(), db_seed in any::<u64>()) {
+        let _pool = exclusive_pool();
         let q = footnote4_star_query(2, false).query;
         let db = snapshot(12, 3.0, db_seed);
         let sampling_engine = |threads: usize| {
@@ -249,6 +242,7 @@ proptest! {
     /// bits — for every thread count.
     #[test]
     fn count_batch_is_bit_identical_across_thread_counts(seed in any::<u64>(), db_seed in any::<u64>()) {
+        let _pool = exclusive_pool();
         let dbs = vec![
             snapshot(12, 2.5, db_seed),
             snapshot(9, 3.0, db_seed ^ 1),
@@ -276,6 +270,7 @@ proptest! {
     /// descent step).
     #[test]
     fn sampling_is_bit_identical_across_thread_counts(seed in any::<u64>()) {
+        let _pool = exclusive_pool();
         let db = snapshot(12, 3.0, seed ^ 0xBEEF);
         for (_, q) in workload_queries() {
             let reference = engine_with_threads(seed, 1)
