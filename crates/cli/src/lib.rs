@@ -85,19 +85,14 @@ COMMANDS:
                --listen, serve HTTP/1.1 + raw NDJSON over TCP
     loadgen    Drive the TCP front end with a seeded, deterministic request
                mix (closed loop); report throughput and latency percentiles
-               and write BENCH_serve.json
     classify   Report the query class and its width measures (Figure 1 column)
     generate   Generate a workload database and write it as a facts file
-    suite      Run the enumerated workload suites (CQ/DCQ/ECQ) end to end —
-               engine phase (count/count_batch/sample) plus serve phase over
-               TCP — and write the BENCH_workloads.json trajectory point;
-               `suite manifest` prints the golden enumeration manifest
+    suite      `suite manifest` prints the golden manifest of the enumerated
+               workload suites (CQ/DCQ/ECQ) that perfbench measures
     report     Summarise a --trace NDJSON file offline (`report flame`:
-               folded flame stacks + a per-phase wall-time table), render
-               a BENCH_workloads.json table and diff it against the committed
-               baseline (`report bench`), or analyse a wide-event request
-               log: slowest requests, per-class latency, shed timeline
-               (`report requests`)
+               folded flame stacks + a per-phase wall-time table), or
+               analyse a wide-event request log: slowest requests,
+               per-class latency, shed timeline (`report requests`)
     audit      Run the determinism & unsafety static-analysis pass over the
                workspace sources (exit 0 clean / 1 violations / 2 usage)
     help       Show this message
@@ -173,46 +168,20 @@ LOADGEN OPTIONS:
     --suite CLASS         replay the enumerated suite mix of one Figure-1
                           class (cq | dcq | ecq) instead of the curated mix
     --connect ADDR        drive a running server instead of self-hosting
-    --scaling C1,C2,…     sweep the same mix at each connection count and
-                          write a `serve_scaling` curve (throughput + p99
-                          per point) instead of a single-point report; the
-                          self-hosted server's admission caps are raised
-                          above the largest point, and transcript
-                          divergence across points is a hard error
-    --bench-out PATH      machine-readable report (default BENCH_serve.json)
     --transcript PATH     write the id-ordered response transcript; two runs
                           with one seed are byte-identical whatever the
                           concurrency, thread count, shard count or protocol
-    --obs-bench PATH      measure observability overhead: warm up, then run
-                          several interleaved (off, on) repeats of the mix —
-                          tracer, wide-event log and flight recorder toggled
-                          together — and write the comparison (median/min
-                          overhead_pct and the transcripts_identical
-                          invisibility witness)
     --quiet               omit the human-readable summary
 
-SUITE OPTIONS:
-    --mode M              kick-tires | full (default kick-tires): presets for
-                          queries/class, tuples/db, requests/class and (ε, δ)
-    --seed S              suite sampling + request-mix seed (default 0xC0FFEE)
-    --per-class N         queries sampled per class (engine phase)
-    --tuples T            tuple budget per generated database
-    --requests N          serve-phase requests per class
-    --connections C       serve-phase closed-loop connections (default 4)
-    --epsilon E --delta D engine-phase accuracy (mode-dependent defaults)
-    --out PATH            trajectory document (default BENCH_workloads.json)
-    --quiet               omit the rendered metrics registry
+SUITE OPTIONS (cqc suite manifest):
+    --seed S              suite sampling seed (default 0xC0FFEE)
+    --per-class N         queries sampled per class (default 8)
 
 REPORT OPTIONS (cqc report flame):
     --trace PATH          the NDJSON trace file to analyse (from `--trace`)
     --folded-out PATH     also write the raw folded stacks to PATH, one
                           `path;to;span microseconds` line per stack, for
                           flamegraph tooling
-
-REPORT OPTIONS (cqc report bench):
-    --current PATH        the fresh suite run (default BENCH_workloads.json)
-    --baseline PATH       the previously committed JSON to diff against;
-                          throughput drops beyond 25% are flagged
 
 REPORT OPTIONS (cqc report requests):
     --log PATH            the wide-event NDJSON file to analyse (from
@@ -246,12 +215,13 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let command = args.command.clone().unwrap_or_else(|| "help".to_string());
     // `--trace PATH` turns the tracer on for the traceable commands before
     // dispatch, so spans opened anywhere in the run are captured; the
-    // drained NDJSON is written after the command returns. (`loadgen`
-    // manages the tracer itself — its `--obs-bench` needs a tracing-off
-    // run first.)
-    let traced = matches!(command.as_str(), "count" | "exact" | "sample" | "serve")
-        .then(|| args.value_of("trace").map(str::to_string))
-        .flatten();
+    // drained NDJSON is written after the command returns.
+    let traced = matches!(
+        command.as_str(),
+        "count" | "exact" | "sample" | "serve" | "loadgen"
+    )
+    .then(|| args.value_of("trace").map(str::to_string))
+    .flatten();
     if traced.is_some() {
         cqc_obs::trace::set_enabled(true);
     }

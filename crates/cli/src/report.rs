@@ -1,16 +1,11 @@
 //! The `report` command: offline analysis of `--trace` NDJSON files and
-//! of `BENCH_workloads.json` trajectory points.
+//! of wide-event request logs.
 //!
 //! `cqc report flame --trace FILE` parses the event stream a traced run
 //! wrote, reassembles the span forest (`cqc_obs::trace::build_forest`),
 //! and renders a per-phase wall-time table plus flamegraph-compatible
 //! folded stacks (self-time in microseconds). `--folded-out PATH` writes
 //! the raw folded lines for external flamegraph tooling.
-//!
-//! `cqc report bench --current FILE [--baseline FILE]` renders the
-//! per-class throughput/latency table of a `cqc suite` run and, given the
-//! previously committed JSON as a baseline, reports the throughput delta
-//! per class and phase, flagging drops beyond the regression threshold.
 //!
 //! `cqc report requests --log FILE` consumes a wide-event request log
 //! (`cqc serve --request-log`, one NDJSON record per request) and renders
@@ -26,130 +21,16 @@ use cqc_serve::json::{parse, Value};
 pub fn run_report(args: &Args) -> Result<String, CliError> {
     match args.positional() {
         [kind] if kind == "flame" => run_flame(args),
-        [kind] if kind == "bench" => run_bench_report(args),
         [kind] if kind == "requests" => run_requests_report(args),
         [other, ..] => Err(CliError::Usage(format!(
-            "unknown report `{other}` (expected `flame`, `bench` or `requests`); run `cqc help`"
+            "unknown report `{other}` (expected `flame` or `requests`); run `cqc help`"
         ))),
         [] => Err(CliError::Usage(
-            "`report` expects a report kind (`cqc report flame --trace FILE`, \
-             `cqc report bench --current FILE` or `cqc report requests --log FILE`)"
+            "`report` expects a report kind (`cqc report flame --trace FILE` or \
+             `cqc report requests --log FILE`)"
                 .into(),
         )),
     }
-}
-
-/// Throughput drops beyond this fraction of the baseline are flagged.
-const REGRESSION_THRESHOLD: f64 = 0.25;
-
-/// One `(class, phase, throughput, p50, p95, p99)` measurement pulled out
-/// of a suite bench document.
-type PhaseRow = (String, String, f64, f64, f64, f64);
-
-fn phase_rows(doc: &Value) -> Result<Vec<PhaseRow>, CliError> {
-    let classes = match doc.get("classes") {
-        Some(Value::Arr(items)) => items,
-        _ => {
-            return Err(CliError::Facts(
-                "bench document has no `classes` array (is this BENCH_workloads.json?)".into(),
-            ))
-        }
-    };
-    let mut rows = Vec::new();
-    for class in classes {
-        let name = class
-            .get("class")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        for phase in ["engine", "serve"] {
-            let p = match class.get(phase) {
-                Some(p) => p,
-                None => continue,
-            };
-            let num = |v: Option<&Value>| v.and_then(Value::as_f64).unwrap_or(0.0);
-            let lat = p.get("latency_ms");
-            rows.push((
-                name.clone(),
-                phase.to_string(),
-                num(p.get("throughput")),
-                num(lat.and_then(|l| l.get("p50"))),
-                num(lat.and_then(|l| l.get("p95"))),
-                num(lat.and_then(|l| l.get("p99"))),
-            ));
-        }
-    }
-    Ok(rows)
-}
-
-/// Read and parse one bench JSON document.
-fn load_bench(path: &str) -> Result<Value, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read `{path}`: {e}")))?;
-    parse(text.trim()).map_err(|e| CliError::Facts(format!("`{path}`: {e}")))
-}
-
-/// `cqc report bench`: render the suite table, diffing against a baseline.
-fn run_bench_report(args: &Args) -> Result<String, CliError> {
-    let current_path = args.get_or("current", "BENCH_workloads.json".to_string())?;
-    let current = load_bench(&current_path)?;
-    let baseline = match args.value_of("baseline") {
-        Some(path) => Some(load_bench(path)?),
-        None => None,
-    };
-    let rows = phase_rows(&current)?;
-    let base_rows = baseline.as_ref().map(phase_rows).transpose()?;
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "suite bench : {} (mode {}, seed {})\n",
-        current_path,
-        current.get("mode").and_then(Value::as_str).unwrap_or("?"),
-        current.get("seed").and_then(Value::as_str).unwrap_or("?"),
-    ));
-    match args.value_of("baseline") {
-        Some(path) => out.push_str(&format!("baseline    : {path}\n")),
-        None => out.push_str("baseline    : none\n"),
-    }
-    out.push_str("\nclass  phase    thrpt/s   p50_ms   p95_ms   p99_ms   vs baseline\n");
-    let mut regressions = 0usize;
-    for (class, phase, thrpt, p50, p95, p99) in &rows {
-        let delta = base_rows.as_ref().and_then(|base| {
-            base.iter().find(|(c, p, ..)| c == class && p == phase).map(
-                |&(_, _, base_thrpt, ..)| {
-                    if base_thrpt > 0.0 {
-                        (thrpt - base_thrpt) / base_thrpt
-                    } else {
-                        0.0
-                    }
-                },
-            )
-        });
-        let delta_text = match delta {
-            None => "-".to_string(),
-            Some(d) if d < -REGRESSION_THRESHOLD => {
-                regressions += 1;
-                format!("{:+.1}% ← REGRESSION", d * 100.0)
-            }
-            Some(d) => format!("{:+.1}%", d * 100.0),
-        };
-        out.push_str(&format!(
-            "{class:<6} {phase:<8} {thrpt:>8.1} {p50:>8.2} {p95:>8.2} {p99:>8.2}   {delta_text}\n"
-        ));
-    }
-    out.push('\n');
-    if base_rows.is_some() {
-        out.push_str(&format!(
-            "regressions : {} phase(s) more than {:.0}% below baseline throughput\n",
-            regressions,
-            REGRESSION_THRESHOLD * 100.0
-        ));
-        out.push_str(
-            "note        : wall-clock numbers are machine-dependent; treat flags as\n\
-             \u{20}             prompts for a local rerun, not CI failures\n",
-        );
-    }
-    Ok(out)
 }
 
 /// One parsed wide-event record from a request log (the inverse of
@@ -558,72 +439,6 @@ mod tests {
         std::fs::remove_file(&folded).ok();
     }
 
-    /// A minimal suite bench document with one class and the given
-    /// per-phase throughputs.
-    fn bench_doc(engine_thrpt: f64, serve_thrpt: f64) -> String {
-        format!(
-            "{{\"bench\":\"workload_suites\",\"mode\":\"kick-tires\",\"seed\":\"7\",\
-             \"classes\":[{{\"class\":\"CQ\",\"enumerated\":120,\"sampled\":2,\
-             \"engine\":{{\"operations\":6,\"wall_seconds\":0.1,\"throughput\":{engine_thrpt},\
-             \"latency_ms\":{{\"p50\":1.5,\"p95\":2.5,\"p99\":3.5}}}},\
-             \"serve\":{{\"operations\":3,\"wall_seconds\":0.1,\"throughput\":{serve_thrpt},\
-             \"latency_ms\":{{\"p50\":1.0,\"p95\":2.0,\"p99\":3.0}}}}}}]}}\n"
-        )
-    }
-
-    #[test]
-    fn bench_report_renders_a_table_without_baseline() {
-        let current = temp("bench-current.json");
-        std::fs::write(&current, bench_doc(100.0, 80.0)).unwrap();
-        let out = run_report(
-            &args_from(["report", "bench", "--current", current.to_str().unwrap()]).unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("baseline    : none"), "{out}");
-        assert!(out.contains("CQ     engine      100.0"), "{out}");
-        assert!(out.contains("CQ     serve        80.0"), "{out}");
-        assert!(!out.contains("REGRESSION"), "{out}");
-        std::fs::remove_file(&current).ok();
-    }
-
-    #[test]
-    fn bench_report_flags_throughput_regressions_against_baseline() {
-        let current = temp("bench-cur.json");
-        let baseline = temp("bench-base.json");
-        // engine dropped 40% (flagged), serve gained 10% (not flagged)
-        std::fs::write(&current, bench_doc(60.0, 110.0)).unwrap();
-        std::fs::write(&baseline, bench_doc(100.0, 100.0)).unwrap();
-        let out = run_report(
-            &args_from([
-                "report",
-                "bench",
-                "--current",
-                current.to_str().unwrap(),
-                "--baseline",
-                baseline.to_str().unwrap(),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("-40.0% ← REGRESSION"), "{out}");
-        assert!(out.contains("+10.0%"), "{out}");
-        assert!(out.contains("regressions : 1 phase(s)"), "{out}");
-        std::fs::remove_file(&current).ok();
-        std::fs::remove_file(&baseline).ok();
-    }
-
-    #[test]
-    fn bench_report_rejects_non_suite_documents() {
-        let path = temp("bench-notsuite.json");
-        std::fs::write(&path, "{\"bench\":\"serve_loadgen\"}\n").unwrap();
-        let err = run_report(
-            &args_from(["report", "bench", "--current", path.to_str().unwrap()]).unwrap(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("classes"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
     /// A synthetic request log: two ok requests (one slow), one shed.
     fn sample_request_log() -> String {
         use cqc_obs::{Outcome, WideEvent};
@@ -716,7 +531,11 @@ mod tests {
 
     #[test]
     fn bad_reports_are_usage_errors() {
-        for bad in [vec!["report"], vec!["report", "icicle"]] {
+        for bad in [
+            vec!["report"],
+            vec!["report", "icicle"],
+            vec!["report", "bench"],
+        ] {
             let err = run_report(&args_from(bad.clone()).unwrap()).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?} -> {err}");
         }

@@ -1,33 +1,10 @@
-//! The `suite` command: run the enumerated workload suites end to end and
-//! emit the committed perf-trajectory document `BENCH_workloads.json`.
-//!
-//! `cqc suite` drives, per Figure-1 class (CQ / DCQ / ECQ):
-//!
-//! 1. an **engine phase** — a seeded sample of the class's enumeration is
-//!    prepared once per query and exercised through
-//!    `PreparedQuery::{count, count_batch, sample}` against seeded
-//!    databases scaled by `--tuples`, with per-operation latencies
-//!    recorded into the unified obs registry; and
-//! 2. a **serve phase** — the class's enumerated request mix is replayed
-//!    through the real TCP serving stack by the closed-loop load
-//!    generator (`cqc_net::loadgen` with `suite = Some(class)`).
-//!
-//! `cqc suite manifest` prints the byte-stable enumeration manifest that
-//! `tests/golden/workload_suites.txt` pins (and CI diffs on every push).
-//! Everything is a pure function of `--seed`, so two runs measure the same
-//! work — only the wall-clock numbers move, which is what makes the
-//! committed JSON a PR-over-PR trajectory point.
+//! The `suite` command: `cqc suite manifest` prints the byte-stable
+//! enumeration manifest of the workload suites (CQ / DCQ / ECQ) that
+//! `tests/golden/workload_suites.txt` pins. The suites themselves are
+//! measured by `perfbench`.
 
 use crate::{Args, CliError};
-use cqc_core::Engine;
-use cqc_net::loadgen::{run_against, transcript_fingerprint, LoadgenOptions, Protocol};
-use cqc_net::{NetConfig, RunningServer};
-use cqc_obs::metrics::{Registry, LATENCY_BUCKET_BOUNDS_NANOS};
-use cqc_obs::Stopwatch;
-use cqc_runtime::split_seed;
-use cqc_serve::json::Value;
-use cqc_workloads::{class_name, enumerate_class, manifest, suite, suite_database, ALL_CLASSES};
-use std::fmt::Write as _;
+use cqc_workloads::manifest;
 
 /// The pinned manifest defaults (golden-tested; change them and the
 /// golden file together).
@@ -38,11 +15,13 @@ pub const MANIFEST_PER_CLASS: usize = 8;
 /// Run `cqc suite`.
 pub fn run_suite(args: &Args) -> Result<String, CliError> {
     match args.positional() {
-        [] => run_bench(args),
         [kind] if kind == "manifest" => run_manifest(args),
         [other, ..] => Err(CliError::Usage(format!(
-            "unknown suite subcommand `{other}` (expected nothing or `manifest`)"
+            "unknown suite subcommand `{other}` (expected `manifest`)"
         ))),
+        [] => Err(CliError::Usage(
+            "`suite` expects a subcommand (`cqc suite manifest`)".into(),
+        )),
     }
 }
 
@@ -53,282 +32,10 @@ fn run_manifest(args: &Args) -> Result<String, CliError> {
     Ok(manifest(seed, per_class))
 }
 
-/// Per-phase measurements of one class.
-struct PhaseStats {
-    operations: usize,
-    wall_seconds: f64,
-    throughput: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-}
-
-/// Nearest-rank percentile over raw nanosecond samples, in milliseconds
-/// (the same convention as the load generator).
-fn percentile_ms(sorted_nanos: &[u64], q: f64) -> f64 {
-    if sorted_nanos.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted_nanos.len() as f64).ceil() as usize).clamp(1, sorted_nanos.len());
-    sorted_nanos[rank - 1] as f64 / 1e6
-}
-
-fn latency_obj(p50: f64, p95: f64, p99: f64) -> Value {
-    Value::Obj(vec![
-        ("p50".to_string(), Value::Num(p50)),
-        ("p95".to_string(), Value::Num(p95)),
-        ("p99".to_string(), Value::Num(p99)),
-    ])
-}
-
-/// `cqc suite [--mode kick-tires|full]`: the end-to-end bench run.
-fn run_bench(args: &Args) -> Result<String, CliError> {
-    let mode = args.value_of("mode").unwrap_or("kick-tires").to_string();
-    // mode presets: kick-tires finishes in minutes on a laptop (and in
-    // CI); full is the artifact shape
-    let (d_per_class, d_tuples, d_requests, d_epsilon, d_delta) = match mode.as_str() {
-        "kick-tires" => (8usize, 24usize, 45usize, 0.5f64, 0.25f64),
-        "full" => (24, 60, 160, 0.35, 0.1),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown mode `{other}` (expected kick-tires | full)"
-            )))
-        }
-    };
-    let seed: u64 = args.get_or("seed", MANIFEST_SEED)?;
-    let per_class: usize = args.get_or("per-class", d_per_class)?;
-    let tuples: usize = args.get_or("tuples", d_tuples)?;
-    let requests: usize = args.get_or("requests", d_requests)?;
-    let connections: usize = args.get_or("connections", 4)?;
-    let epsilon: f64 = args.get_or("epsilon", d_epsilon)?;
-    let delta: f64 = args.get_or("delta", d_delta)?;
-    if !(0.0 < epsilon && epsilon < 1.0 && 0.0 < delta && delta < 1.0) {
-        return Err(CliError::Usage(
-            "`--epsilon` and `--delta` must lie in (0, 1)".into(),
-        ));
-    }
-    if per_class == 0 || requests == 0 || tuples == 0 {
-        return Err(CliError::Usage(
-            "`--per-class`, `--requests` and `--tuples` must be at least 1".into(),
-        ));
-    }
-    let out_path = args.get_or("out", "BENCH_workloads.json".to_string())?;
-
-    // The unified metrics registry: per-class engine-operation and
-    // serve-request latency histograms, rendered into the human report.
-    let registry = Registry::new();
-    let engine = Engine::builder()
-        .accuracy(epsilon, delta)
-        .seed(seed)
-        .build()
-        .map_err(|e| CliError::Count(e.to_string()))?;
-
-    // one server hosts every class's serve phase (warm pool, shared cache
-    // — the production shape)
-    let server = RunningServer::bind("127.0.0.1:0", NetConfig::default())
-        .map_err(|e| CliError::Io(format!("cannot bind loopback server: {e}")))?;
-    let addr = server.addr();
-
-    let mut class_docs = Vec::new();
-    let mut text = String::new();
-    writeln!(
-        text,
-        "suite       : mode {mode}, seed {seed}, {per_class} query(s)/class, \
-         {tuples} tuple(s)/db, {requests} request(s)/class, ε={epsilon} δ={delta}"
-    )
-    .unwrap();
-
-    for (ci, class) in ALL_CLASSES.into_iter().enumerate() {
-        let name = class_name(class);
-        let lower = name.to_ascii_lowercase();
-        let engine_hist = registry.histogram(
-            &format!("suite_{lower}_engine_op_seconds"),
-            LATENCY_BUCKET_BOUNDS_NANOS,
-        );
-        let op_counter = registry.counter(
-            &format!("suite_{lower}_engine_ops_total"),
-            "engine operations driven by cqc suite",
-        );
-
-        // ---- engine phase: prepare once, then count / count_batch / sample
-        let sample_set = suite(class, seed, per_class);
-        let mut nanos: Vec<u64> = Vec::new();
-        let class_watch = Stopwatch::start();
-        for (qi, sq) in sample_set.queries.iter().enumerate() {
-            let prepared = engine
-                .prepare(&sq.query)
-                .map_err(|e| CliError::Count(format!("prepare {}: {e}", sq.name)))?;
-            let db_stream = split_seed(split_seed(seed, 100 + ci as u64), qi as u64);
-            let dbs = vec![
-                suite_database(split_seed(db_stream, 0), tuples),
-                suite_database(split_seed(db_stream, 1), tuples),
-            ];
-            let fail = |op: &str, e: cqc_core::CoreError| {
-                CliError::Count(format!("{op} {}: {e}", sq.name))
-            };
-            let op = |nanos: &mut Vec<u64>,
-                      run: &mut dyn FnMut() -> Result<(), CliError>|
-             -> Result<(), CliError> {
-                let watch = Stopwatch::start();
-                run()?;
-                let elapsed = watch.elapsed();
-                engine_hist.record(elapsed);
-                op_counter.inc();
-                nanos.push(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                Ok(())
-            };
-            op(&mut nanos, &mut || {
-                prepared
-                    .count(&dbs[0])
-                    .map(drop)
-                    .map_err(|e| fail("count", e))
-            })?;
-            op(&mut nanos, &mut || {
-                prepared
-                    .count_batch(&dbs)
-                    .map(drop)
-                    .map_err(|e| fail("count_batch", e))
-            })?;
-            op(&mut nanos, &mut || {
-                prepared
-                    .sample(&dbs[0], 2)
-                    .map(drop)
-                    .map_err(|e| fail("sample", e))
-            })?;
-        }
-        let engine_wall = class_watch.elapsed().as_secs_f64();
-        nanos.sort_unstable();
-        let engine_stats = PhaseStats {
-            operations: nanos.len(),
-            wall_seconds: engine_wall,
-            throughput: nanos.len() as f64 / engine_wall.max(1e-9),
-            p50_ms: percentile_ms(&nanos, 0.50),
-            p95_ms: percentile_ms(&nanos, 0.95),
-            p99_ms: percentile_ms(&nanos, 0.99),
-        };
-
-        // ---- serve phase: the enumerated request mix over real TCP
-        let options = LoadgenOptions {
-            requests,
-            connections,
-            seed,
-            shards: None,
-            method: None,
-            accuracy: None,
-            protocol: Protocol::Http,
-            suite: Some(class),
-        };
-        let report = run_against(addr, &options)
-            .map_err(|e| CliError::Io(format!("suite loadgen against {addr}: {e}")))?;
-        let serve_stats = PhaseStats {
-            operations: requests,
-            wall_seconds: report.wall.as_secs_f64(),
-            throughput: report.throughput_rps,
-            p50_ms: report.p50_ms,
-            p95_ms: report.p95_ms,
-            p99_ms: report.p99_ms,
-        };
-        if report.errors > 0 {
-            return Err(CliError::Count(format!(
-                "suite {name}: {} serve request(s) answered with an error",
-                report.errors
-            )));
-        }
-
-        writeln!(
-            text,
-            "class {name:<4}  : enumerated {}, engine {} op(s) at {:.1} op/s \
-             (p50={:.2} p95={:.2} p99={:.2} ms), serve {requests} req(s) at {:.1} req/s \
-             (p50={:.2} p95={:.2} p99={:.2} ms)",
-            enumerate_class(class).len(),
-            engine_stats.operations,
-            engine_stats.throughput,
-            engine_stats.p50_ms,
-            engine_stats.p95_ms,
-            engine_stats.p99_ms,
-            serve_stats.throughput,
-            serve_stats.p50_ms,
-            serve_stats.p95_ms,
-            serve_stats.p99_ms,
-        )
-        .unwrap();
-
-        let phase_obj = |s: &PhaseStats, key: &str| {
-            (
-                key.to_string(),
-                Value::Obj(vec![
-                    ("operations".to_string(), Value::Num(s.operations as f64)),
-                    ("wall_seconds".to_string(), Value::Num(s.wall_seconds)),
-                    ("throughput".to_string(), Value::Num(s.throughput)),
-                    (
-                        "latency_ms".to_string(),
-                        latency_obj(s.p50_ms, s.p95_ms, s.p99_ms),
-                    ),
-                ]),
-            )
-        };
-        class_docs.push(Value::Obj(vec![
-            ("class".to_string(), Value::Str(name.to_string())),
-            (
-                "enumerated".to_string(),
-                Value::Num(enumerate_class(class).len() as f64),
-            ),
-            (
-                "sampled".to_string(),
-                Value::Num(sample_set.queries.len() as f64),
-            ),
-            phase_obj(&engine_stats, "engine"),
-            phase_obj(&serve_stats, "serve"),
-            (
-                "transcript_fnv1a".to_string(),
-                Value::Str(format!(
-                    "{:016x}",
-                    transcript_fingerprint(&report.transcript)
-                )),
-            ),
-        ]));
-    }
-    let served = server.shutdown();
-
-    let doc = Value::Obj(vec![
-        (
-            "bench".to_string(),
-            Value::Str("workload_suites".to_string()),
-        ),
-        ("mode".to_string(), Value::Str(mode.clone())),
-        ("seed".to_string(), Value::Str(seed.to_string())),
-        ("per_class".to_string(), Value::Num(per_class as f64)),
-        ("tuples".to_string(), Value::Num(tuples as f64)),
-        (
-            "requests_per_class".to_string(),
-            Value::Num(requests as f64),
-        ),
-        ("epsilon".to_string(), Value::Num(epsilon)),
-        ("delta".to_string(), Value::Num(delta)),
-        ("classes".to_string(), Value::Arr(class_docs)),
-    ]);
-    std::fs::write(&out_path, format!("{}\n", doc.render()))
-        .map_err(|e| CliError::Io(format!("cannot write `{out_path}`: {e}")))?;
-
-    writeln!(text, "server      : served {served} request(s) over TCP").unwrap();
-    writeln!(text, "bench       : wrote {out_path}").unwrap();
-    if !args.switch("quiet") {
-        writeln!(text, "\nmetrics:\n{}", registry.render()).unwrap();
-    }
-    Ok(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args_from;
-    use std::path::PathBuf;
-
-    fn temp(name: &str) -> PathBuf {
-        let mut path = std::env::temp_dir();
-        path.push(format!("cqc-cli-suite-{}-{name}", std::process::id()));
-        path
-    }
 
     #[test]
     fn manifest_subcommand_matches_the_library() {
@@ -340,62 +47,11 @@ mod tests {
     }
 
     #[test]
-    fn tiny_bench_run_writes_a_parseable_trajectory_point() {
-        let out_path = temp("bench.json");
-        let out = run_suite(
-            &args_from([
-                "suite",
-                "--per-class",
-                "2",
-                "--tuples",
-                "12",
-                "--requests",
-                "3",
-                "--connections",
-                "2",
-                "--epsilon",
-                "0.6",
-                "--delta",
-                "0.3",
-                "--out",
-                out_path.to_str().unwrap(),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("class CQ"), "{out}");
-        assert!(out.contains("class ECQ"), "{out}");
-        // the obs registry rendered per-class histograms
-        assert!(out.contains("suite_cq_engine_op_seconds_count"), "{out}");
-        let doc = std::fs::read_to_string(&out_path).unwrap();
-        let v = cqc_serve::json::parse(doc.trim()).expect("bench json parses");
-        assert_eq!(
-            v.get("bench").and_then(|b| b.as_str()),
-            Some("workload_suites")
-        );
-        let classes = match v.get("classes") {
-            Some(Value::Arr(items)) => items.clone(),
-            other => panic!("classes missing: {other:?}"),
-        };
-        assert_eq!(classes.len(), 3);
-        for class in &classes {
-            assert!(class
-                .get("engine")
-                .and_then(|e| e.get("throughput"))
-                .is_some());
-            assert!(class
-                .get("serve")
-                .and_then(|s| s.get("latency_ms"))
-                .and_then(|l| l.get("p99"))
-                .is_some());
-        }
-        std::fs::remove_file(&out_path).ok();
-    }
-
-    #[test]
     fn bad_suite_invocations_are_usage_errors() {
         for bad in [
+            vec!["suite"],
             vec!["suite", "icicle"],
+            vec!["suite", "--mode", "kick-tires"],
             vec!["suite", "--mode", "warp"],
             vec!["suite", "--per-class", "0"],
             vec!["suite", "--epsilon", "1.5"],

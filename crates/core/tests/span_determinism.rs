@@ -9,11 +9,22 @@
 //! under a parallel runtime `par_any_n`'s early exit legitimately changes
 //! *which* repetition spans exist between runs (the estimates still
 //! match bit for bit — that is `trace_invisibility`'s job in `cqc-net`).
+//!
+//! The tracer is process-global: one test's `drain` would steal the other's
+//! spans, so both tests serialise on [`TRACER_LOCK`].
 
 use cqc_core::{Backend, Engine};
 use cqc_data::StructureBuilder;
 use cqc_obs::trace::{build_forest, drain, set_enabled};
 use cqc_query::parse_query;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test in this file: the tracer is process-wide.
+static TRACER_LOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive_tracer() -> MutexGuard<'static, ()> {
+    TRACER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn graph_db() -> cqc_data::Structure {
     let mut b = StructureBuilder::new(6);
@@ -47,6 +58,7 @@ fn traced_shape(query: &str, backend: Backend, seed: u64) -> String {
 
 #[test]
 fn same_seed_serial_runs_record_identical_span_trees() {
+    let _tracer = exclusive_tracer();
     set_enabled(false);
     let _ = drain(); // isolate from anything the harness ran before us
     for (query, backend) in [
@@ -67,6 +79,7 @@ fn same_seed_serial_runs_record_identical_span_trees() {
 
 #[test]
 fn fptras_span_trees_nest_repetitions_under_oracle_calls() {
+    let _tracer = exclusive_tracer();
     set_enabled(false);
     let _ = drain();
     let shape = traced_shape(

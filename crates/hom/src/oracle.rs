@@ -6,7 +6,7 @@ use cqc_data::Structure;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Statistics collected by a [`HomDecider`] across a run (oracle call counts
-/// are reported in the experiments of EXPERIMENTS.md).
+/// surface as `hom_calls` in the FPTRAS telemetry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HomStats {
     /// Number of `Hom` decisions answered.

@@ -10,8 +10,7 @@
 //! **raw NDJSON** protocol of `cqc serve` on the
 //! same port (first-byte sniff), plus a deterministic closed-loop **load
 //! generator** that drives the server over loopback and reports throughput
-//! and latency percentiles (including a connection-scaling mode,
-//! [`loadgen::run_scaling`]).
+//! and latency percentiles.
 //!
 //! The workspace has no crates.io access, so everything here — HTTP
 //! parsing, readiness polling, metrics, the client — is built on
@@ -50,9 +49,6 @@ pub mod metrics;
 pub mod poll;
 pub mod server;
 
-pub use loadgen::{
-    bench_json, obs_bench_json, obs_overhead, run_against, run_scaling, scaling_bench_json,
-    LoadReport, LoadgenOptions, ObsOverhead, Protocol, ScalingPoint, ScalingReport,
-};
+pub use loadgen::{run_against, LoadReport, LoadgenOptions, Protocol};
 pub use metrics::Metrics;
 pub use server::{NetConfig, NetStats, RunningServer, ShutdownHandle};

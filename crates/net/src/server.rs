@@ -6,12 +6,13 @@
 //!
 //! One **event thread** owns every socket: it polls them for readiness
 //! (`poll(2)` through the std-only shim in [`crate::poll`]), accepts new
-//! connections, fills per-connection read buffers, frames requests
-//! ([`crate::conn`]: read → parse), and drains write buffers. Engine work
-//! never runs on the event thread — `/count`, `/stream` and NDJSON lines
-//! are pushed onto the **bounded dispatch queue** ([`crate::dispatch`]),
-//! where a small pool of dispatch workers executes them (fanning across
-//! the `cqc-runtime` pool) and hands fully rendered response bytes back.
+//! connections, fills per-connection read buffers, frames requests (the
+//! private `conn` module: read → parse), and drains write buffers. Engine
+//! work never runs on the event thread — `/count`, `/stream` and NDJSON
+//! lines are pushed onto the **bounded dispatch queue** (the private
+//! `dispatch` module), where a small pool of dispatch workers executes
+//! them (fanning across the `cqc-runtime` pool) and hands fully rendered
+//! response bytes back.
 //! A connection with a request in flight is not read further — that
 //! per-connection backpressure is what keeps responses ordered and
 //! buffers bounded.

@@ -3,11 +3,10 @@
 //! silent close — the shed counters advance, and a client that retries
 //! after the overload clears succeeds on the same connection.
 //!
-//! Also drives the connection-scaling sweep end to end at small counts:
-//! the transcripts of every point must be byte-identical (determinism
-//! under concurrency — the curve only measures, never changes, a byte).
+//! Also replays one mix at two connection counts: the transcripts must be
+//! byte-identical (determinism under concurrency).
 
-use cqc_net::loadgen::{run_scaling, scaling_bench_json, LoadgenOptions, Protocol};
+use cqc_net::loadgen::{run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -203,16 +202,23 @@ fn scaling_sweep_produces_identical_transcripts_across_connection_counts() {
         protocol: Protocol::Http,
         ..LoadgenOptions::default()
     };
-    let report = run_scaling(server.addr(), &base, &[2, 8]).unwrap();
-    assert_eq!(report.points.len(), 2);
-    assert!(report.transcripts_identical, "transcripts diverged");
-    assert_eq!(report.points[0].report.errors, 0);
-    let json = scaling_bench_json(&report);
-    let v = cqc_serve::json::parse(&json).unwrap();
+    let reports: Vec<_> = [2, 8]
+        .into_iter()
+        .map(|connections| {
+            let options = LoadgenOptions {
+                connections,
+                ..base.clone()
+            };
+            run_against(server.addr(), &options).unwrap()
+        })
+        .collect();
+    for report in &reports {
+        assert_eq!(report.transcript.lines().count(), 32);
+        assert_eq!(report.errors, 0);
+    }
     assert_eq!(
-        v.get("bench").and_then(|b| b.as_str()),
-        Some("serve_scaling")
+        reports[0].transcript, reports[1].transcript,
+        "transcripts diverged"
     );
-    assert!(json.contains("\"transcripts_identical\":true"), "{json}");
     server.shutdown();
 }

@@ -11,15 +11,15 @@
 //! it per request — requests pin `shards` explicitly, making the bytes
 //! comparable across every axis.
 //!
-//! A second test drives a 1000-request mix through the full stack and
-//! renders `BENCH_serve.json`, pinning the loadgen path end to end.
+//! A second test drives a 1000-request mix through the full stack,
+//! pinning the loadgen path end to end.
 //!
 //! A parallel loop that finds the process-wide worker pool busy runs
 //! inline on its caller, so the tests serialise on [`WIDTH_LOCK`]: an
 //! 8-wide server must not quietly turn serial because another test holds
 //! the pool.
 
-use cqc_net::loadgen::{bench_json, run_against, LoadgenOptions, Protocol};
+use cqc_net::loadgen::{run_against, LoadgenOptions, Protocol};
 use cqc_net::{NetConfig, RunningServer};
 use cqc_serve::ServerConfig;
 use std::sync::{Mutex, MutexGuard};
@@ -135,20 +135,11 @@ fn suite_mixes_are_deterministic_on_the_wire_for_every_class() {
             0,
         );
         assert_eq!(reference, other, "suite transcript drifted for {class:?}");
-        // the suite is echoed into the bench report
-        let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
-        let report = run_against(server.addr(), &base).expect("suite run");
-        server.shutdown();
-        let doc = cqc_serve::json::parse(&bench_json(&report)).expect("bench json parses");
-        assert_eq!(
-            doc.get("suite").and_then(|s| s.as_str()),
-            Some(cqc_workloads::class_name(class))
-        );
     }
 }
 
 #[test]
-fn a_1k_request_loadgen_run_completes_and_emits_bench_json() {
+fn a_1k_request_loadgen_run_completes_with_an_error_free_transcript() {
     let _pool = exclusive_pool();
     let server = RunningServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
     let options = LoadgenOptions {
@@ -169,17 +160,4 @@ fn a_1k_request_loadgen_run_completes_and_emits_bench_json() {
     assert_eq!(report.errors, 0);
     assert!(report.throughput_rps > 0.0);
     assert!(report.p50_ms <= report.p95_ms && report.p95_ms <= report.p99_ms);
-
-    // BENCH_serve.json renders, parses, and echoes the run
-    let text = bench_json(&report);
-    let path = std::env::temp_dir().join(format!("BENCH_serve-{}.json", std::process::id()));
-    std::fs::write(&path, &text).expect("write BENCH_serve.json");
-    let back = cqc_serve::json::parse(&std::fs::read_to_string(&path).unwrap()).expect("parses");
-    assert_eq!(back.get("requests").and_then(|v| v.as_u64()), Some(1000));
-    assert_eq!(
-        back.get("responses_with_error").and_then(|v| v.as_u64()),
-        Some(0)
-    );
-    assert!(back.get("latency_ms").and_then(|l| l.get("p99")).is_some());
-    std::fs::remove_file(&path).ok();
 }

@@ -320,6 +320,15 @@ pub fn phases_take() -> Phases {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// Held by every test that toggles the process-global recording flag:
+    /// one test switching it off mid-run would drop the other's records.
+    static FLAG_LOCK: Mutex<()> = Mutex::new(());
+
+    fn exclusive_flag() -> MutexGuard<'static, ()> {
+        FLAG_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn event(seq_hint: u64) -> WideEvent {
         WideEvent {
@@ -357,6 +366,7 @@ mod tests {
 
     #[test]
     fn log_is_gated_bounded_and_counts_evictions() {
+        let _flag = exclusive_flag();
         let log = WideLog::new(2);
 
         // Disabled: nothing lands.
@@ -387,6 +397,7 @@ mod tests {
     fn file_sink_receives_every_record() {
         let path =
             std::env::temp_dir().join(format!("cqc-widelog-test-{}.ndjson", std::process::id()));
+        let _flag = exclusive_flag();
         let log = WideLog::new(1);
         log.attach_file(File::create(&path).unwrap());
         set_enabled(true);

@@ -5,8 +5,9 @@
 //! [`Workload::canon`], and thinned with [`Workload::filter`] over
 //! structural [`Metric`]s and the engine's own Figure-1 class assignment.
 //!
-//! The grammar is the workload *source of truth* for the artifact-style
-//! bench harness (`scripts/kick-tires.sh`, `scripts/full.sh`): per class of
+//! The grammar is the workload *source of truth* for the repository
+//! benchmark (`perfbench`, driven by `scripts/kick-tires.sh` and
+//! `scripts/full.sh`): per class of
 //! Figure 1 (CQ / DCQ / ECQ), [`enumerate_class`] deterministically derives
 //! the full query family, [`suite`] draws a seeded sample from it,
 //! [`suite_database`] scales seeded instances by tuple count, and

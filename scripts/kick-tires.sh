@@ -1,36 +1,18 @@
 #!/usr/bin/env bash
-# Kick-the-tires artifact run (minutes, not hours): build the release
-# binary, verify the enumerated workload suites match the committed golden
-# manifest, run the suite bench in its small configuration, and diff the
-# fresh trajectory point against the committed BENCH_workloads.json.
+# Kick-the-tires run of the repository benchmark (a few minutes): every
+# perfbench workload at seed 1 with a 5-second measured phase. The engine
+# workloads still finish their second whole pass over the op list, so they
+# take longer than 5 s. The command is the one BENCHMARK.json declares.
 #
-# Exits non-zero if the build fails, the suite membership drifted from
-# tests/golden/workload_suites.txt, or any benched request errored.
-# Throughput regressions are *flagged* in out/report.txt, not fatal —
-# wall-clock numbers are machine-dependent.
-set -euo pipefail
+# Each run prints its metrics and a final JSON line. Exits non-zero if the
+# build fails or any workload reports a failed op (perfbench exits 1 then).
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-out=out
-mkdir -p "$out"
-
-cargo build --release
-
-# 1. Suite membership must match the committed golden manifest exactly.
-./target/release/cqc suite manifest > "$out/workload_suites.txt"
-diff tests/golden/workload_suites.txt "$out/workload_suites.txt"
-echo "suite manifest matches tests/golden/workload_suites.txt"
-
-# 2. Save the committed trajectory point as the comparison baseline.
-baseline_args=()
-if [ -f BENCH_workloads.json ]; then
-    cp BENCH_workloads.json "$out/BENCH_workloads.baseline.json"
-    baseline_args=(--baseline "$out/BENCH_workloads.baseline.json")
-fi
-
-# 3. Run the workload suites end to end (engine ops + serve phase).
-./target/release/cqc suite --mode kick-tires --out BENCH_workloads.json
-
-# 4. Render the trajectory report (with the baseline diff when one exists).
-./target/release/cqc report bench --current BENCH_workloads.json \
-    "${baseline_args[@]}" | tee "$out/report.txt"
+status=0
+for workload in engine-fptras engine-fpras serve-http; do
+    echo "== perfbench --workload $workload --seed 1 --seconds 5"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 5 || status=1
+done
+exit "$status"

@@ -140,6 +140,28 @@ fn union_counting_section_6() {
 }
 
 #[test]
+fn ternary_dcqs_theorem_13() {
+    // unbounded arity: a chain of ternary atoms with a disequality between
+    // the existential middles is a DCQ of fractional hypertreewidth 1, so
+    // the FPTRAS applies (Theorem 13)
+    let spec = cqcount::workloads::hyperchain_query(2, true);
+    assert_eq!(spec.query.class(), QueryClass::DCQ);
+    let mut rng = StdRng::seed_from_u64(15);
+    let db = cqcount::workloads::graphs::random_ternary_database(15, 60, &mut rng);
+    let truth = exact_count_answers(&spec.query, &db) as f64;
+    assert!(truth > 0.0, "the instance has answers");
+    let cfg = ApproxConfig::new(0.25, 0.1).with_seed(15);
+    let r = approx_count_answers(&spec.query, &db, &cfg).unwrap();
+    assert_eq!(r.method, CountMethod::Fptras);
+    assert!(
+        (r.estimate - truth).abs() <= 0.3 * truth,
+        "estimate {} truth {}",
+        r.estimate,
+        truth
+    );
+}
+
+#[test]
 fn star_query_scaling_smoke_test() {
     // a slightly larger instance to make sure nothing degrades pathologically
     let db = small_random_db(60, 3.0, 9);

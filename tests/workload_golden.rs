@@ -1,11 +1,11 @@
-//! Golden pin of the enumerated workload suites (ISSUE 8, satellite 3).
+//! Golden pin of the enumerated workload suites.
 //!
 //! `tests/golden/workload_suites.txt` holds the `cqc suite manifest`
 //! output for the committed manifest seed: per-class enumeration sizes
 //! and the sampled query texts. Any change to the grammar, the class
 //! filters, the canonicalisation, or the sampler moves this file — which
-//! is exactly the point: the suites feed benchmarks whose numbers are
-//! committed (`BENCH_workloads.json`), so their membership must not
+//! is exactly the point: the suites feed the `perfbench` workloads, whose
+//! figures are compared across changes, so their membership must not
 //! drift silently. Regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --test workload_golden`.
 
