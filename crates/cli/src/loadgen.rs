@@ -270,8 +270,6 @@ mod tests {
             vec!["loadgen", "--suite", ""],
             // removed bench options are unknown options, caught before
             // any traffic is sent
-            vec!["loadgen", "--scaling", "4"],
-            vec!["loadgen", "--obs-bench", "x.json"],
             vec!["loadgen", "--bench-out", "x.json"],
         ] {
             let err = run_loadgen(&args_from(bad.clone()).unwrap()).unwrap_err();
@@ -279,9 +277,71 @@ mod tests {
         }
         // the exit-code convention: usage errors (unknown suite included)
         // exit 2, distinct from audit's 1 and success's 0
-        for bad in [["--suite", "xcq"], ["--scaling", "4"]] {
+        for bad in [["--suite", "xcq"], ["--bench-out", "x.json"]] {
             let mut argv = vec!["loadgen".to_string()];
             argv.extend(bad.iter().map(|a| a.to_string()));
+            assert_eq!(crate::exit_code(&crate::run(&argv)), 2, "{bad:?}");
+        }
+    }
+
+    /// A sweep over connection counts is a series of plain runs: each point
+    /// reports its own summary, and every point's transcript is the same.
+    #[test]
+    fn scaling_sweep_writes_the_curve_and_checks_determinism() {
+        let mut transcripts = Vec::new();
+        for connections in ["2", "6"] {
+            let transcript = temp(&format!("sweep-c{connections}.ndjson"));
+            let out = run_loadgen(
+                &args_from([
+                    "loadgen",
+                    "--requests",
+                    "12",
+                    "--connections",
+                    connections,
+                    "--seed",
+                    "17",
+                    "--method",
+                    "exact",
+                    "--transcript",
+                    transcript.to_str().unwrap(),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+            assert!(
+                out.contains(&format!(
+                    "loadgen     : 12 request(s), {connections} connection(s)"
+                )),
+                "{out}"
+            );
+            assert!(out.contains("throughput  : "), "{out}");
+            assert!(out.contains("responses   : 0 error(s)"), "{out}");
+            transcripts.push(std::fs::read_to_string(&transcript).unwrap());
+            std::fs::remove_file(&transcript).ok();
+        }
+        assert_eq!(transcripts[0].lines().count(), 12);
+        assert_eq!(
+            transcripts[0], transcripts[1],
+            "transcripts drifted across connection counts"
+        );
+    }
+
+    /// `--scaling` and `--obs-bench` are gone: every form of them, well
+    /// formed or not, alone or combined, is an unknown option (exit 2).
+    #[test]
+    fn scaling_rejects_malformed_counts_and_obs_bench() {
+        for bad in [
+            vec!["loadgen", "--scaling", ""],
+            vec!["loadgen", "--scaling", "0"],
+            vec!["loadgen", "--scaling", "4"],
+            vec!["loadgen", "--scaling", "4,x"],
+            vec!["loadgen", "--obs-bench", "x.json"],
+            vec!["loadgen", "--scaling", "4", "--obs-bench", "x.json"],
+            vec!["loadgen", "--scaling", "4", "--trace", "x.ndjson"],
+        ] {
+            let err = run_loadgen(&args_from(bad.clone()).unwrap()).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?} -> {err}");
+            let argv: Vec<String> = bad.iter().map(|a| a.to_string()).collect();
             assert_eq!(crate::exit_code(&crate::run(&argv)), 2, "{bad:?}");
         }
     }
